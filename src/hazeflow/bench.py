@@ -13,7 +13,7 @@ from .flow import FIELD_EVALS, FlowConfig, integrate, vector_field
 from .lut import identity_lut
 from .purifier import N_STAGES, PurifierNet
 from .tensor import Tensor, no_grad
-from .tiling import TilePlan, dehaze_tiled
+from .tiling import TilePlan, dehaze_tiled, tile_spans
 
 
 def conv_macs(c_in: int, c_out: int, kernel: int, h_out: int, w_out: int) -> int:
@@ -21,28 +21,22 @@ def conv_macs(c_in: int, c_out: int, kernel: int, h_out: int, w_out: int) -> int
     return c_in * c_out * kernel * kernel * h_out * w_out
 
 
-def _even(n: int) -> int:
-    return n + (n % 2)
-
-
 def purifier_macs(width: int, height: int, w: int) -> dict[str, int]:
-    """Per-layer conv MACs of one purifier forward pass at the given size."""
-    macs: dict[str, int] = {}
-    enc_channels = [(3, width), (width, 2 * width), (2 * width, 4 * width)]
-    sizes = []
-    h_cur, w_cur = height, w
-    for i, (cin, cout) in enumerate(enc_channels, start=1):
-        sizes.append((h_cur, w_cur))
-        h_cur, w_cur = _even(h_cur) // 2, _even(w_cur) // 2
-        macs[f"enc{i}"] = conv_macs(cin, cout, 3, h_cur, w_cur)
-    macs["attn"] = conv_macs(4 * width, 1, 3, h_cur, w_cur)
-    dec_channels = [(4 * width + 2 * width, 2 * width),
-                    (2 * width + width, width), (width + 3, width)]
-    for i, (cin, cout) in enumerate(dec_channels, start=1):
-        sh, sw = sizes[N_STAGES - i]
-        macs[f"dec{i}"] = conv_macs(cin, cout, 3, sh, sw)
-    macs["head"] = conv_macs(width, 3, 3, height, w)
-    return macs
+    """Per-layer conv MACs of one purifier forward pass at the given size.
+
+    Channel counts and kernel sizes are read from a PurifierNet's kernels.
+    """
+    # sizes[s]: feature map after s max-pools, odd sizes rounded up
+    sizes = [(height, w)]
+    for _ in range(N_STAGES):
+        sizes.append(((sizes[-1][0] + 1) // 2, (sizes[-1][1] + 1) // 2))
+    at = {"attn": sizes[N_STAGES], "head": sizes[0]}
+    for i in range(1, N_STAGES + 1):
+        at[f"enc{i}"], at[f"dec{i}"] = sizes[i], sizes[N_STAGES - i]
+    kernels = {name[:-2]: p.shape for name, p in PurifierNet(width).params.items()
+               if name.endswith(".w")}
+    return {name: conv_macs(c_in, c_out, k, *at[name])
+            for name, (c_out, c_in, k, _) in kernels.items()}
 
 
 def pipeline_macs(width: int, height: int, w: int, cfg: FlowConfig) -> int:
@@ -120,18 +114,20 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
     t0 = time.perf_counter()
     if plan is not None:
         dehaze_tiled(image, net, lut, cfg, plan)
-        tiled = True
+        # every tile runs the whole flow, overlaps included
+        spans_y, spans_x = tile_spans(height, plan), tile_spans(width, plan)
     else:
         with no_grad():
             integrate(Tensor(image), net, lut, cfg)
-        tiled = False
+        spans_y, spans_x = [(0, height)], [(0, width)]
     total = time.perf_counter() - t0
 
-    per_eval = sum(purifier_macs(net_width, height, width).values())
+    per_eval = sum(sum(purifier_macs(net_width, y1 - y0, x1 - x0).values())
+                   for y0, y1 in spans_y for x0, x1 in spans_x)
     evals = FIELD_EVALS[cfg.solver] * cfg.steps
     return BenchReport(
         height=height, width=width, net_width=net_width, solver=cfg.solver,
         steps=cfg.steps, field_evals=evals, macs_per_eval=per_eval,
         total_macs=per_eval * evals, eval_seconds=eval_seconds,
         total_seconds=total, seconds_per_step=total / cfg.steps,
-        peak_rss_mb=peak_rss_bytes() / 1e6, tiled=tiled)
+        peak_rss_mb=peak_rss_bytes() / 1e6, tiled=plan is not None)

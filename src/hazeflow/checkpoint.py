@@ -3,12 +3,15 @@
 A checkpoint is one self-describing binary file: a 4-byte magic, a
 length-prefixed JSON header (tensor names/shapes and all hyperparameters),
 then the raw tensor payload as little-endian float32 in header order.
-Round trips are bit-exact; unknown format versions are rejected.
+Round trips are bit-exact; unknown format versions are rejected. Saves
+go to a temporary file beside the target that then replaces it, so an
+interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,6 +27,7 @@ from .training import AdamW, OptState
 
 MAGIC = b"HZFC"
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("net", "lut", "flow", "optimizer", "tensors")
 
 
 @dataclass
@@ -70,12 +74,20 @@ def save_checkpoint(path: str, net: PurifierNet, lut: Optional[Lut3D],
                     for name, arr in entries],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for _name, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for _name, arr in entries:
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -83,16 +95,20 @@ def load_checkpoint(path: str) -> Checkpoint:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: not a hazeflow checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
         try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header") from exc
-        version = header.get("format_version")
+        version = header.get("format_version") if isinstance(header, dict) else None
         if version != FORMAT_VERSION:
             raise DataError(
                 f"{path}: unsupported checkpoint format version {version!r} "
                 f"(expected {FORMAT_VERSION})")
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise DataError(f"{path}: corrupt checkpoint header "
+                            f"(missing {', '.join(missing)})")
 
         tensors = {}
         for entry in header["tensors"]:

@@ -123,7 +123,8 @@ def integrate(x0: Tensor, net: PurifierNet, lut: Optional[Lut3D],
     The unclamped final state is kept on the result for training losses.
     """
     vals = _values(x0)
-    if vals.min() < -1e-6 or vals.max() > 1.0 + 1e-6:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not (vals.min() >= -1e-6 and vals.max() <= 1.0 + 1e-6):
         raise DataError(
             f"input image values [{vals.min():.4g}, {vals.max():.4g}] "
             "outside [0, 1]")

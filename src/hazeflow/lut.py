@@ -108,7 +108,8 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
     if x.data.ndim != 4 or x.data.shape[1] != 3:
         raise ShapeError(f"expected a (B, 3, H, W) image, got {x.shape}")
     data = x.data
-    if data.min() < -_RANGE_TOL or data.max() > lut.c_max + _RANGE_TOL:
+    # NaN fails both comparisons and is rejected with the out-of-range values
+    if not (data.min() >= -_RANGE_TOL and data.max() <= lut.c_max + _RANGE_TOL):
         raise LatticeRangeError(
             f"image values [{data.min():.4g}, {data.max():.4g}] outside "
             f"[0, {lut.c_max}]; clamp before applying the LUT")

@@ -318,30 +318,29 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    # xp: padded input (B, C, Hp, Wp) -> (B, C*kh*kw, Hout*Wout), stride 1
+def _correlate(xp: np.ndarray, kernel: np.ndarray):
+    # valid stride-1 cross-correlation of (B, C, Hp, Wp) with (O, C, kh, kw)
+    # as im2col plus one BLAS gemm per batch item; returns the output and
+    # the (B, C*kh*kw, Ho*Wo) columns the weight gradient reuses
     b, c, hp, wp = xp.shape
+    c_out, _, kh, kw = kernel.shape
     ho, wo = hp - kh + 1, wp - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     # (B, C, Ho, Wo, kh, kw) -> (B, C, kh, kw, Ho, Wo)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo)
-    return np.ascontiguousarray(cols)
-
-
-def _col2im(grad_cols: np.ndarray, b: int, c: int, hp: int, wp: int,
-            kh: int, kw: int) -> np.ndarray:
-    ho, wo = hp - kh + 1, wp - kw + 1
-    gc = grad_cols.reshape(b, c, kh, kw, ho, wo)
-    gx = np.zeros((b, c, hp, wp), dtype=grad_cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, :, i:i + ho, j:j + wo] += gc[:, :, i, j]
-    return gx
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
+    cols = cols.reshape(b, c * kh * kw, ho * wo)
+    out = np.matmul(kernel.reshape(c_out, -1), cols)
+    return out.reshape(b, c_out, ho, wo), cols
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2d cross-correlation. Kernels are 1x1 or 3x3, stride 1 in this project."""
+    """2d cross-correlation. Kernels are 1x1 or 3x3, stride 1 in this project.
+
+    The input gradient is the transposed convolution: the output gradient,
+    padded by k-1 and correlated with the flipped, channel-swapped kernel,
+    is the padded input's gradient, cropped by `padding` on each side.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects a rank-4 input, got shape {x.shape}")
     if weight.data.ndim != 4:
@@ -354,39 +353,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if stride != 1:
         raise ShapeError("only stride 1 is supported")
 
-    if padding > 0:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     hp, wp = xp.shape[2], xp.shape[3]
-    ho, wo = hp - kh + 1, wp - kw + 1
-    if ho < 1 or wo < 1:
+    if hp < kh or wp < kw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
 
-    cols = _im2col(xp, kh, kw)                          # (B, C*kh*kw, L)
-    w_mat = weight.data.reshape(c_out, c_in * kh * kw)  # (Cout, C*kh*kw)
-    out_data = np.einsum("ok,bkl->bol", w_mat, cols, optimize=True)
-    out_data = out_data.reshape(b, c_out, ho, wo)
+    out_data, cols = _correlate(xp, weight.data)
     if bias is not None:
         out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor._result(np.ascontiguousarray(out_data), parents, "conv2d")
+    out = Tensor._result(out_data, parents, "conv2d")
     if out._op:
-        saved_cols = cols
-
         def _bwd(g, a=x, wt=weight, bt=bias):
-            g_mat = g.reshape(b, c_out, ho * wo)
             if wt.requires_grad or wt._op:
-                gw = np.einsum("bol,bkl->ok", g_mat, saved_cols, optimize=True)
-                wt._accumulate(gw.reshape(wt.data.shape))
+                gw = np.matmul(g.reshape(b, c_out, -1), cols.transpose(0, 2, 1))
+                wt._accumulate(gw.sum(axis=0).reshape(wt.data.shape))
             if bt is not None and (bt.requires_grad or bt._op):
                 bt._accumulate(g.sum(axis=(0, 2, 3)))
             if a.requires_grad or a._op:
-                g_cols = np.einsum("ok,bol->bkl", w_mat, g_mat, optimize=True)
-                gx = _col2im(g_cols, b, c_in, hp, wp, kh, kw)
-                if padding > 0:
-                    gx = gx[:, :, padding:padding + h, padding:padding + w]
+                gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+                gx, _ = _correlate(gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+                gx = gx[:, :, padding:padding + h, padding:padding + w]
                 a._accumulate(np.ascontiguousarray(gx))
         out._backward = _bwd
     return out
@@ -431,46 +419,44 @@ def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
     return out
 
 
-def _bilinear_axis_maps(n_in: int, dtype):
-    # align_corners=False sampling positions for 2x upsampling
-    n_out = 2 * n_in
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) / 2.0 - 0.5
-    src = np.clip(src, 0.0, n_in - 1)
-    lo = np.floor(src).astype(np.int64)
-    hi = np.minimum(lo + 1, n_in - 1)
-    w_hi = (src - lo).astype(dtype)
-    w_lo = (1.0 - (src - lo)).astype(dtype)
-    return lo, hi, w_lo, w_hi
+def _upsample2x_axis(x: np.ndarray, axis: int) -> np.ndarray:
+    # align_corners=False at scale 2 has fixed taps: out[2i] =
+    # x[i-1]/4 + 3x[i]/4, out[2i+1] = 3x[i]/4 + x[i+1]/4; the first and
+    # last outputs copy the edge samples
+    shape = list(x.shape)
+    shape[axis] *= 2
+    out = np.empty(shape, dtype=x.dtype)
+    src, dst = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    q, t = x.dtype.type(0.25), x.dtype.type(0.75)
+    dst[0], dst[-1] = src[0], src[-1]
+    dst[2::2] = src[:-1] * q + src[1:] * t
+    dst[1:-1:2] = src[:-1] * t + src[1:] * q
+    return out
+
+
+def _upsample2x_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
+    # transpose of _upsample2x_axis: input i takes 3/4 of outputs 2i, 2i+1
+    # and 1/4 of outputs 2i-1, 2i+2, the edge outputs standing in for those
+    # past the ends
+    src = np.moveaxis(g, axis, 0)
+    q, t = g.dtype.type(0.25), g.dtype.type(0.75)
+    gx = (src[0::2] + src[1::2]) * t
+    gx[1:] += src[1:-1:2] * q
+    gx[:-1] += src[2::2] * q
+    gx[0] += src[0] * q
+    gx[-1] += src[-1] * q
+    return np.ascontiguousarray(np.moveaxis(gx, 0, axis))
 
 
 def upsample_bilinear2x(x: Tensor) -> Tensor:
     """Bilinear 2x spatial upsampling, align_corners=False."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample expects a rank-4 input, got shape {x.shape}")
-    b, c, h, w = x.data.shape
-    lo_h, hi_h, wl_h, wh_h = _bilinear_axis_maps(h, x.data.dtype)
-    lo_w, hi_w, wl_w, wh_w = _bilinear_axis_maps(w, x.data.dtype)
-
-    rows = x.data[:, :, lo_h, :] * wl_h[None, None, :, None] \
-        + x.data[:, :, hi_h, :] * wh_h[None, None, :, None]
-    out_data = rows[:, :, :, lo_w] * wl_w[None, None, None, :] \
-        + rows[:, :, :, hi_w] * wh_w[None, None, None, :]
-
-    out = Tensor._result(np.ascontiguousarray(out_data), (x,), "upsample_bilinear2x")
+    out_data = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3)
+    out = Tensor._result(out_data, (x,), "upsample_bilinear2x")
     if out._op:
-        def _bwd(g, a=x):
-            # adjoint of the column gather, then of the row gather
-            gt = np.moveaxis(g, 3, 0)
-            acc_w = np.zeros((w, b, c, 2 * h), dtype=g.dtype)
-            np.add.at(acc_w, lo_w, gt * wl_w[:, None, None, None])
-            np.add.at(acc_w, hi_w, gt * wh_w[:, None, None, None])
-            g_rows = np.moveaxis(acc_w, 0, 3)
-            gt = np.moveaxis(g_rows, 2, 0)
-            acc_h = np.zeros((h, b, c, w), dtype=g.dtype)
-            np.add.at(acc_h, lo_h, gt * wl_h[:, None, None, None])
-            np.add.at(acc_h, hi_h, gt * wh_h[:, None, None, None])
-            a._accumulate(np.ascontiguousarray(np.moveaxis(acc_h, 0, 2)))
-        out._backward = _bwd
+        out._backward = lambda g, a=x: a._accumulate(
+            _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2))
     return out
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from hazeflow.bench import conv_macs, pipeline_macs, purifier_macs, run_bench
 from hazeflow.flow import FIELD_EVALS, FlowConfig
-from hazeflow.tiling import TilePlan
+from hazeflow.tiling import TilePlan, tile_spans
 
 
 def test_single_conv_mac_formula():
@@ -59,3 +59,17 @@ def test_run_bench_tiled_smoke():
                        plan=TilePlan(tile=48, overlap=8))
     assert report.tiled
     assert "total_macs" in report.key_value_lines()
+
+
+def test_tiled_macs_count_every_tile_with_overlap():
+    cfg = FlowConfig(solver="euler", steps=2)
+    plan = TilePlan(tile=48, overlap=8)
+    report = run_bench(70, 90, cfg, net_width=4, lut_size=5, plan=plan)
+    # rows (0, 48), (22, 70) and columns (0, 48), (40, 88), (42, 90):
+    # six full 48x48 tiles
+    assert tile_spans(70, plan) == [(0, 48), (22, 70)]
+    assert tile_spans(90, plan) == [(0, 48), (40, 88), (42, 90)]
+    per_eval = 6 * sum(purifier_macs(4, 48, 48).values())
+    assert report.macs_per_eval == per_eval
+    assert report.total_macs == per_eval * 2
+    assert report.total_macs > pipeline_macs(4, 70, 90, cfg)

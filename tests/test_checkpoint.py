@@ -103,3 +103,46 @@ def test_optimizer_moments_float32_roundtrip(tmp_path):
     save_checkpoint(str(path), net, None, FlowConfig(), optimizer=opt)
     ckpt = load_checkpoint(str(path))
     np.testing.assert_array_equal(ckpt.opt_state.m["w"], opt.state.m["w"])
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    net = PurifierNet(width=4, seed=1)
+    path = tmp_path / "model.hzf"
+    save_checkpoint(str(path), net, identity_lut(5), FlowConfig())
+    before = path.read_bytes()
+
+    class FailingWriter:
+        # accepts 100 bytes, then fails as a full disk would
+        def __init__(self, fh):
+            self.fh, self.left = fh, 100
+
+        def write(self, data):
+            if len(data) > self.left:
+                self.fh.write(data[:self.left])
+                raise OSError(28, "No space left on device")
+            self.left -= len(data)
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    real_open = open
+    monkeypatch.setattr("hazeflow.checkpoint.open",
+                        lambda *a, **k: FailingWriter(real_open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(str(path), PurifierNet(width=4, seed=2),
+                        identity_lut(5), FlowConfig())
+    monkeypatch.undo()
+
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.hzf"]
+    ckpt = load_checkpoint(str(path))
+    for name, p in net.parameters().items():
+        np.testing.assert_array_equal(ckpt.net.params[name].data, p.data)

@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, config file, exit codes, determinism."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from hazeflow.checkpoint import FORMAT_VERSION, MAGIC
 from hazeflow.cli import main
 from hazeflow.imgio import load_image, save_image
 
@@ -107,6 +110,38 @@ class TestDehaze:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def _checkpoint_bytes(header: dict) -> bytes:
+    blob = json.dumps(header).encode()
+    return MAGIC + struct.pack("<I", len(blob)) + blob
+
+
+_HEADER = {"format_version": FORMAT_VERSION, "net": {"width": 4},
+           "lut": None, "optimizer": None, "tensors": [],
+           "flow": {"solver": "euler", "steps": 1, "t0": 0.0, "t1": 1.0,
+                    "lam": 0.5}}
+
+_CORRUPT_CHECKPOINTS = {
+    "short_length_prefix": MAGIC + b"\x07\x00",
+    "no_tensors_key": _checkpoint_bytes(
+        {k: v for k, v in _HEADER.items() if k != "tensors"}),
+    "no_net_key": _checkpoint_bytes(
+        {k: v for k, v in _HEADER.items() if k != "net"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPT_CHECKPOINTS))
+def test_corrupt_checkpoint_header_is_data_error(tmp_path, hazy_ppm, capsys,
+                                                 case):
+    ckpt = tmp_path / "bad.hzf"
+    ckpt.write_bytes(_CORRUPT_CHECKPOINTS[case])
+    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
+               "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "corrupt checkpoint header" in err
 
 
 class TestEval:

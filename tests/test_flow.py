@@ -165,6 +165,13 @@ class TestIntegrate:
             integrate(Tensor(rng.uniform(0.5, 1.5, (1, 3, 4, 4))
                              .astype(np.float32)), net, identity_lut(5), cfg)
 
+    def test_rejects_nan_input(self, rng):
+        data = rng.uniform(0.2, 0.8, (1, 3, 4, 4)).astype(np.float32)
+        data[0, 1, 2, 3] = np.nan
+        with pytest.raises(DataError):
+            integrate(Tensor(data), PurifierNet(width=4), identity_lut(5),
+                      FlowConfig(steps=1))
+
     def test_gradients_reach_all_parameter_groups(self, rng):
         net = PurifierNet(width=4, seed=4)
         lut = identity_lut(5)

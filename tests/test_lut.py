@@ -86,6 +86,12 @@ class TestTrilinearApply:
         with pytest.raises(LatticeRangeError):
             trilinear_apply(image(rng, lo=0.5, hi=1.5), lut)
 
+    def test_rejects_nan_image(self, rng):
+        x = image(rng)
+        x.data[0, 2, 5, 1] = np.nan
+        with pytest.raises(LatticeRangeError):
+            trilinear_apply(x, identity_lut(9))
+
     def test_locality_of_grid_perturbation(self):
         m = 5
         lut = identity_lut(m)

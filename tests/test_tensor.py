@@ -321,3 +321,54 @@ def test_ops_produce_finite_values(seed):
     out = instance_norm(conv2d(x, w, padding=1), g, b)
     out = upsample_bilinear2x(maxpool2d(gelu(out)))
     assert np.all(np.isfinite(out.data))
+
+
+def _gather_upsample_reference(x):
+    # align_corners=False 2x upsample as a gather of two taps per axis,
+    # H first and then W; the slice-arithmetic kernel must match it bitwise
+    def axis_maps(n):
+        src = np.clip((np.arange(2 * n) + 0.5) / 2.0 - 0.5, 0.0, n - 1)
+        lo = np.floor(src).astype(np.int64)
+        hi = np.minimum(lo + 1, n - 1)
+        return lo, hi, (1.0 - (src - lo)).astype(x.dtype), (src - lo).astype(x.dtype)
+
+    lo_h, hi_h, wl_h, wh_h = axis_maps(x.shape[2])
+    lo_w, hi_w, wl_w, wh_w = axis_maps(x.shape[3])
+    rows = x[:, :, lo_h, :] * wl_h[:, None] + x[:, :, hi_h, :] * wh_h[:, None]
+    return rows[:, :, :, lo_w] * wl_w + rows[:, :, :, hi_w] * wh_w
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 2, 1, 5), (2, 3, 7, 1), (1, 4, 33, 17)])
+def test_upsample_matches_gather_reference(shape, dtype):
+    x = np.random.default_rng(sum(shape)).uniform(-1, 1, shape).astype(dtype)
+    out = upsample_bilinear2x(Tensor(x)).data
+    assert out.dtype == dtype
+    assert np.array_equal(out, _gather_upsample_reference(x))
+
+
+def _gradcheck64(f, leaves):
+    return max(check_gradients(f, leaves, h=1e-6, rtol=1e-6, atol=1e-9).values())
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1, 5), (2, 1, 3, 1), (1, 2, 5, 3)])
+def test_upsample_gradient_at_unit_and_odd_sizes(shape):
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.uniform(-1, 1, shape), requires_grad=True, dtype=np.float64)
+    r = rng.uniform(-1, 1, (shape[0], shape[1], 2 * shape[2], 2 * shape[3]))
+    assert _gradcheck64(lambda: (upsample_bilinear2x(x) * r).sum(), [x]) <= 1.0
+
+
+@pytest.mark.parametrize("kernel,padding", [(3, 0), (3, 2), (1, 1)])
+def test_conv2d_gradient_pad_and_crop(kernel, padding):
+    # the input gradient is a correlation of g padded by k-1, then cropped
+    # by `padding`: the cases crop less than, exactly and more than k-1
+    rng = np.random.default_rng(10 * kernel + padding)
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)), requires_grad=True, dtype=np.float64)
+    w = Tensor(rng.uniform(-1, 1, (2, 3, kernel, kernel)), requires_grad=True,
+               dtype=np.float64)
+    b = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True, dtype=np.float64)
+    out_shape = conv2d(x, w, b, padding=padding).shape
+    r = rng.uniform(-1, 1, out_shape)
+    assert _gradcheck64(lambda: (conv2d(x, w, b, padding=padding) * r).sum(),
+                        [x, w, b]) <= 1.0
