@@ -14,8 +14,9 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hazeflow import (FlowConfig, Tensor, TrainConfig, integrate,
-                      make_toy_dataset, no_grad, psnr, ssim, train_loop)
+from hazeflow import (SOLVERS, FlowConfig, Tensor, TrainConfig, dehaze,
+                      integrate, make_toy_dataset, no_grad, psnr, ssim,
+                      train_loop)
 from hazeflow.checkpoint import save_checkpoint
 from hazeflow.imgio import save_image
 from hazeflow.training import history_table
@@ -29,8 +30,7 @@ def parse_args():
     p.add_argument("--lr", type=float, default=2e-2)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--lut-size", type=int, default=17)
-    p.add_argument("--solver", default="euler",
-                   choices=("euler", "midpoint", "rk4"))
+    p.add_argument("--solver", default="euler", choices=SOLVERS)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=123)
@@ -54,9 +54,7 @@ def main():
                         lut_size=args.lut_size)
     result.restore_best()
 
-    with no_grad():
-        out = integrate(Tensor(hazy), result.net, result.lut,
-                        flow_cfg).output.data
+    out = dehaze(hazy, result.net, result.lut, flow_cfg)
     out_psnr = np.mean([psnr(out[i], clean[i]) for i in range(n)])
     out_ssim = np.mean([ssim(out[i], clean[i]) for i in range(n)])
     print(f"dehazed:       psnr {out_psnr:.2f} dB  ssim {out_ssim:.4f}")

@@ -5,11 +5,10 @@ fixed-step solvers (Euler, midpoint, RK4) carry the hazy image to the
 clear one, and training differentiates through the unrolled solver.
 """
 
-from .errors import (DataError, DivergenceError, GraphError, HazeflowError,
-                     LatticeRangeError, ShapeError)
-from .flow import (FIELD_EVALS, FlowConfig, IntegrationResult, euler_step,
-                   integrate, integrate_field, midpoint_step, rk4_step,
-                   vector_field)
+from .errors import (ConfigError, DataError, DivergenceError, GraphError,
+                     HazeflowError, LatticeRangeError, ShapeError)
+from .flow import (FIELD_EVALS, SOLVERS, FlowConfig, IntegrationResult,
+                   integrate, integrate_field, solver_step, vector_field)
 from .lut import (Lut3D, export_cube, fixed_contrast_saturation_lut,
                   identity_lut, lattice_coords, trilinear_apply)
 from .metrics import MetricReport, evaluate_pairs, psnr, ssim
@@ -17,7 +16,7 @@ from .purifier import PurifierNet, cnn_forward, purify
 from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu, grad_enabled,
                      instance_norm, maxpool2d, no_grad, spatial_attention,
                      upsample_bilinear2x)
-from .tiling import TilePlan, blend_weight_maps, dehaze_tiled, tile_spans
+from .tiling import TilePlan, blend_weight_maps, dehaze, tile_spans
 from .training import (AdamW, OptState, ReduceLROnPlateau, TrainConfig,
                        TrainResult, l1_loss, make_toy_dataset,
                        plateau_schedule, synth_haze, train_loop)
@@ -25,16 +24,16 @@ from .training import (AdamW, OptState, ReduceLROnPlateau, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamW", "DataError", "DivergenceError", "FIELD_EVALS", "FlowConfig",
-    "GraphError", "HazeflowError", "IntegrationResult", "LatticeRangeError",
-    "Lut3D", "MetricReport", "OptState", "PurifierNet", "ReduceLROnPlateau",
-    "ShapeError", "Tensor", "TilePlan", "TrainConfig", "TrainResult",
-    "blend_weight_maps", "cnn_forward", "concat_channels", "conv2d", "crop2d",
-    "dehaze_tiled", "euler_step", "evaluate_pairs", "export_cube",
-    "fixed_contrast_saturation_lut", "gelu", "grad_enabled", "identity_lut",
-    "instance_norm", "integrate", "integrate_field", "l1_loss",
-    "lattice_coords", "make_toy_dataset", "maxpool2d", "midpoint_step",
-    "no_grad", "plateau_schedule", "psnr", "purify", "rk4_step",
-    "spatial_attention", "ssim", "synth_haze", "tile_spans", "train_loop",
-    "trilinear_apply", "upsample_bilinear2x", "vector_field",
+    "AdamW", "ConfigError", "DataError", "DivergenceError", "FIELD_EVALS",
+    "FlowConfig", "GraphError", "HazeflowError", "IntegrationResult",
+    "LatticeRangeError", "Lut3D", "MetricReport", "OptState", "PurifierNet",
+    "ReduceLROnPlateau", "SOLVERS", "ShapeError", "Tensor", "TilePlan",
+    "TrainConfig", "TrainResult", "blend_weight_maps", "cnn_forward",
+    "concat_channels", "conv2d", "crop2d", "dehaze", "evaluate_pairs",
+    "export_cube", "fixed_contrast_saturation_lut", "gelu", "grad_enabled",
+    "identity_lut", "instance_norm", "integrate", "integrate_field", "l1_loss",
+    "lattice_coords", "make_toy_dataset", "maxpool2d", "no_grad",
+    "plateau_schedule", "psnr", "purify", "solver_step", "spatial_attention",
+    "ssim", "synth_haze", "tile_spans", "train_loop", "trilinear_apply",
+    "upsample_bilinear2x", "vector_field",
 ]

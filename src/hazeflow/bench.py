@@ -9,11 +9,11 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FIELD_EVALS, FlowConfig, integrate, vector_field
+from .flow import FIELD_EVALS, FlowConfig, vector_field
 from .lut import identity_lut
 from .purifier import N_STAGES, PurifierNet
 from .tensor import Tensor, no_grad
-from .tiling import TilePlan, dehaze_tiled, tile_spans
+from .tiling import TilePlan, dehaze, tile_spans
 
 
 def conv_macs(c_in: int, c_out: int, kernel: int, h_out: int, w_out: int) -> int:
@@ -112,15 +112,13 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
         eval_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if plan is not None:
-        dehaze_tiled(image, net, lut, cfg, plan)
-        # every tile runs the whole flow, overlaps included
-        spans_y, spans_x = tile_spans(height, plan), tile_spans(width, plan)
-    else:
-        with no_grad():
-            integrate(Tensor(image), net, lut, cfg)
-        spans_y, spans_x = [(0, height)], [(0, width)]
+    dehaze(image, net, lut, cfg, plan)
     total = time.perf_counter() - t0
+
+    # every tile runs the whole flow, overlaps included
+    spans_y, spans_x = [(0, height)], [(0, width)]
+    if plan is not None:
+        spans_y, spans_x = tile_spans(height, plan), tile_spans(width, plan)
 
     per_eval = sum(sum(purifier_macs(net_width, y1 - y0, x1 - x0).values())
                    for y0, y1 in spans_y for x0, x1 in spans_x)
@@ -130,4 +128,5 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
         steps=cfg.steps, field_evals=evals, macs_per_eval=per_eval,
         total_macs=per_eval * evals, eval_seconds=eval_seconds,
         total_seconds=total, seconds_per_step=total / cfg.steps,
-        peak_rss_mb=peak_rss_bytes() / 1e6, tiled=plan is not None)
+        peak_rss_mb=peak_rss_bytes() / 1e6,
+        tiled=len(spans_y) * len(spans_x) > 1)

@@ -16,14 +16,14 @@ import numpy as np
 from .ablation import SUITES, AblationConfig, format_report, run_all, run_suite, write_reports
 from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import DataError, DivergenceError, HazeflowError
-from .flow import FlowConfig, integrate
+from .errors import ConfigError, DataError, DivergenceError, HazeflowError
+from .flow import SOLVERS, FlowConfig, integrate
 from .imgio import load_image, save_image
 from .lut import identity_lut
 from .metrics import MetricReport, evaluate_pairs, psnr, ssim
 from .purifier import PurifierNet
 from .tensor import Tensor, no_grad
-from .tiling import TilePlan, dehaze_tiled
+from .tiling import TilePlan, dehaze
 from .training import TrainConfig, history_table, make_toy_dataset, train_loop
 
 CONFIG_ENV_VAR = "HAZEFLOW_CONFIG"
@@ -124,12 +124,9 @@ def cmd_dehaze(args) -> int:
             save_image(state.clamp(0.0, 1.0),
                        os.path.join(args.record_trajectory, f"step_{i:03d}.png"))
         output = result.output.data
-    elif args.tile and (image.shape[2] > args.tile or image.shape[3] > args.tile):
-        plan = TilePlan(tile=args.tile, overlap=args.overlap)
-        output = dehaze_tiled(image, net, lut, flow_cfg, plan)
     else:
-        with no_grad():
-            output = integrate(Tensor(image), net, lut, flow_cfg).output.data
+        plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
+        output = dehaze(image, net, lut, flow_cfg, plan)
 
     save_image(output, args.output)
     print(f"dehazed {args.input} -> {args.output} "
@@ -149,11 +146,10 @@ def cmd_eval(args) -> int:
         names, hazy, clean = _load_pair_dirs(args.hazy_dir, args.clean_dir)
         report = MetricReport()
         baseline = MetricReport()
-        with no_grad():
-            for name, hz, cl in zip(names, hazy, clean):
-                out = integrate(Tensor(hz), net, lut, flow_cfg).output.data
-                report.add(name, psnr(out, cl), ssim(out[0], cl[0]))
-                baseline.add(name, psnr(hz, cl), ssim(hz[0], cl[0]))
+        for name, hz, cl in zip(names, hazy, clean):
+            out = dehaze(hz, net, lut, flow_cfg)
+            report.add(name, psnr(out, cl), ssim(out[0], cl[0]))
+            baseline.add(name, psnr(hz, cl), ssim(hz[0], cl[0]))
         print("input baseline:")
         print(baseline.key_value_lines(prefix="input_"))
 
@@ -167,9 +163,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     flow_cfg = _flow_from_args(args)
-    plan = None
-    if args.tile and (args.height > args.tile or args.width_px > args.tile):
-        plan = TilePlan(tile=args.tile, overlap=args.overlap)
+    plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
     report = run_bench(args.height, args.width_px, flow_cfg,
                        net_width=args.net_width, lut_size=args.lut_size,
                        plan=plan, seed=args.seed)
@@ -200,8 +194,7 @@ def cmd_ablate(args) -> int:
 
 def _add_flow_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--steps", type=int, default=None, help="solver steps")
-    p.add_argument("--solver", choices=("euler", "midpoint", "rk4"),
-                   default=None)
+    p.add_argument("--solver", choices=SOLVERS, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="LUT weight in the vector field")
 
@@ -340,6 +333,9 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except DivergenceError as exc:
         print(f"divergence: {exc} (step {exc.step})", file=sys.stderr)
         return 3

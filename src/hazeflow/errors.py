@@ -28,5 +28,9 @@ class DivergenceError(HazeflowError):
         self.step = step
 
 
+class ConfigError(HazeflowError, ValueError):
+    """A configuration value outside its valid range."""
+
+
 class DataError(HazeflowError):
     """Unreadable, unsupported, or inconsistent external data."""

@@ -13,15 +13,23 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError
 from .lut import Lut3D, trilinear_apply
 from .purifier import PurifierNet, purify
 from .tensor import Tensor
 
-SOLVERS = ("euler", "midpoint", "rk4")
+# Butcher tableaus, integer weights over a common denominator: row j builds
+# x + dt/den * sum(w_i k_i), where stage j + 1 is evaluated at time
+# t + dt * sum(w)/den; the last row (b) gives the next state.
+TABLEAUS = {
+    "euler": (((1,), 1),),
+    "midpoint": (((1,), 2), ((0, 1), 1)),
+    "rk4": (((1,), 2), ((0, 1), 2), ((0, 0, 1), 1), ((1, 2, 2, 1), 6)),
+}
+SOLVERS = tuple(TABLEAUS)
 
-# vector-field evaluations per step
-FIELD_EVALS = {"euler": 1, "midpoint": 2, "rk4": 4}
+# vector-field evaluations per step: k_1 plus one per stage row
+FIELD_EVALS = {name: len(rows) for name, rows in TABLEAUS.items()}
 
 
 @dataclass
@@ -34,13 +42,13 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+            raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ConfigError("steps must be >= 1")
         if self.t1 <= self.t0:
-            raise ValueError("time range must satisfy t1 > t0")
+            raise ConfigError("time range must satisfy t1 > t0")
         if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+            raise ConfigError("lambda must be non-negative")
 
     @property
     def dt(self) -> float:
@@ -62,27 +70,30 @@ def vector_field(x: Tensor, net: PurifierNet, lut: Optional[Lut3D],
     return o_m + o_lut * lam
 
 
-def euler_step(x, f: Callable, t: float, dt: float):
-    return x + f(t, x) * dt
-
-
-def midpoint_step(x, f: Callable, t: float, dt: float):
-    return x + f(t + dt / 2.0, x + f(t, x) * (dt / 2.0)) * dt
-
-
-def rk4_step(x, f: Callable, t: float, dt: float):
-    k1 = f(t, x)
-    k2 = f(t + dt / 2.0, x + k1 * (dt / 2.0))
-    k3 = f(t + dt / 2.0, x + k2 * (dt / 2.0))
-    k4 = f(t + dt, x + k3 * dt)
-    return x + (k1 + 2.0 * k2 + 2.0 * k3 + k4) * (dt / 6.0)
-
-
-_STEPPERS = {"euler": euler_step, "midpoint": midpoint_step, "rk4": rk4_step}
-
-
 def _values(state) -> np.ndarray:
     return state.data if isinstance(state, Tensor) else np.asarray(state)
+
+
+def solver_step(solver: str, x, f: Callable, t: float, dt: float,
+                step: int = 1):
+    """One step of the named solver from state x at time t.
+
+    Every state built, stage states included, is checked; a non-finite
+    one raises DivergenceError naming `step`.
+    """
+    rows = TABLEAUS[solver]
+    ks = [f(t, x)]
+    for j, (weights, den) in enumerate(rows, start=1):
+        # zero weights skipped and weight 1 not multiplied, summed left to
+        # right: bit-identical to the textbook formulas
+        terms = [k if w == 1 else k * w for w, k in zip(weights, ks) if w]
+        state = x + sum(terms[1:], terms[0]) * (dt / den)
+        if not np.all(np.isfinite(_values(state))):
+            raise DivergenceError(
+                f"non-finite state in solver step {step}", step=step)
+        if j == len(rows):
+            return state
+        ks.append(f(t + dt * sum(weights) / den, state))
 
 
 @dataclass
@@ -101,16 +112,11 @@ def integrate_field(x0, field: Callable, cfg: FlowConfig,
     recording). No clamping is applied here; intermediate states stay
     free so the solver arithmetic is exact.
     """
-    stepper = _STEPPERS[cfg.solver]
     dt = cfg.dt
     x = x0
     snapshots = []
     for i in range(cfg.steps):
-        t = cfg.t0 + i * dt
-        x = stepper(x, field, t, dt)
-        if not np.all(np.isfinite(_values(x))):
-            raise DivergenceError(
-                f"non-finite state after solver step {i + 1}", step=i + 1)
+        x = solver_step(cfg.solver, x, field, cfg.t0 + i * dt, dt, step=i + 1)
         if record:
             snapshots.append(x)
     return x, snapshots

@@ -14,25 +14,27 @@ import numpy as np
 from .tensor import Tensor
 
 
-def numerical_gradient(f: Callable[[], Tensor], leaf: Tensor, h: float) -> np.ndarray:
+def numerical_gradient(f: Callable[[], Tensor], leaf: Tensor, h: float,
+                       positions=None) -> np.ndarray:
     """Central-difference gradient of the scalar f() w.r.t. one leaf tensor.
 
     f is re-evaluated with each element of the leaf perturbed by +/- h;
-    the leaf's data is restored afterwards.
+    the leaf's data is restored afterwards. With `positions` (flat
+    indices) only those elements are differenced and a 1-D array is
+    returned; otherwise the whole gradient, in the leaf's shape.
     """
-    data = leaf.data
-    grad = np.zeros(data.shape, dtype=np.float64)
-    flat = data.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
+    flat = leaf.data.reshape(-1)
+    idx = range(flat.size) if positions is None else positions
+    grad = np.empty(len(idx), dtype=np.float64)
+    for j, i in enumerate(idx):
         orig = flat[i]
         flat[i] = orig + h
         f_plus = float(f().data)
         flat[i] = orig - h
         f_minus = float(f().data)
         flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+        grad[j] = (f_plus - f_minus) / (2.0 * h)
+    return grad if positions is not None else grad.reshape(leaf.data.shape)
 
 
 def violation_ratio(analytic, numeric, rtol: float, atol: float) -> float:
@@ -46,21 +48,28 @@ def violation_ratio(analytic, numeric, rtol: float, atol: float) -> float:
     return float(np.max(np.abs(a - n) / allowed))
 
 
-def check_gradients(f: Callable[[], Tensor], leaves: Sequence[Tensor],
-                    h: float, rtol: float, atol: float) -> dict[int, float]:
-    """Full elementwise check; returns {leaf index: violation ratio}.
-
-    Analytic gradients come from one backward() call on f(); numeric ones
-    from central differences over every element of every leaf.
-    """
+def _check(f: Callable[[], Tensor], leaves: Sequence[Tensor], h: float,
+           rtol: float, atol: float, pick: Callable) -> dict[int, float]:
+    # analytic gradients from one backward() on f(); numeric ones from
+    # central differences at the flat positions pick(analytic) chooses
     for leaf in leaves:
         leaf.zero_grad()
     f().backward()
-    analytic = [np.zeros_like(l.data) if l.grad is None else l.grad.copy()
-                for l in leaves]
-    return {idx: violation_ratio(analytic[idx], numerical_gradient(f, leaf, h),
-                                 rtol, atol)
-            for idx, leaf in enumerate(leaves)}
+    ratios = {}
+    for idx, leaf in enumerate(leaves):
+        analytic = (np.zeros_like(leaf.data) if leaf.grad is None
+                    else leaf.grad).reshape(-1).astype(np.float64)
+        positions = pick(analytic)
+        ratios[idx] = violation_ratio(
+            analytic[positions], numerical_gradient(f, leaf, h, positions),
+            rtol, atol)
+    return ratios
+
+
+def check_gradients(f: Callable[[], Tensor], leaves: Sequence[Tensor],
+                    h: float, rtol: float, atol: float) -> dict[int, float]:
+    """Full elementwise check; returns {leaf index: violation ratio}."""
+    return _check(f, leaves, h, rtol, atol, lambda a: np.arange(a.size))
 
 
 def sampled_gradient_check(f: Callable[[], Tensor], leaves: Sequence[Tensor],
@@ -73,29 +82,12 @@ def sampled_gradient_check(f: Callable[[], Tensor], leaves: Sequence[Tensor],
     tractable while still covering where the gradient mass lives.
     """
     rng = np.random.default_rng(seed)
-    for leaf in leaves:
-        leaf.zero_grad()
-    f().backward()
-    ratios = {}
-    for idx, leaf in enumerate(leaves):
-        analytic = (np.zeros_like(leaf.data) if leaf.grad is None
-                    else leaf.grad).reshape(-1).astype(np.float64)
-        n_el = leaf.data.size
-        take = min(per_leaf, n_el)
+
+    def pick(analytic: np.ndarray) -> np.ndarray:
+        take = min(per_leaf, analytic.size)
         n_top = take // 2
         top = np.argsort(-np.abs(analytic))[:n_top]
-        rest = rng.choice(n_el, size=take - n_top, replace=False)
-        positions = np.unique(np.concatenate([top, rest]))
+        rest = rng.choice(analytic.size, size=take - n_top, replace=False)
+        return np.unique(np.concatenate([top, rest]))
 
-        flat = leaf.data.reshape(-1)
-        numeric = np.empty(positions.size, dtype=np.float64)
-        for j, pos in enumerate(positions):
-            orig = flat[pos]
-            flat[pos] = orig + h
-            f_plus = float(f().data)
-            flat[pos] = orig - h
-            f_minus = float(f().data)
-            flat[pos] = orig
-            numeric[j] = (f_plus - f_minus) / (2.0 * h)
-        ratios[idx] = violation_ratio(analytic[positions], numeric, rtol, atol)
-    return ratios
+    return _check(f, leaves, h, rtol, atol, pick)

@@ -1,4 +1,4 @@
-"""Tiled processing of large images with raised-cosine overlap blending.
+"""Overlap-blended tiled processing, and `dehaze`, the one inference path.
 
 Tiles cover the image with a fixed overlap; the last tile in each axis is
 right-aligned. Complementary raised-cosine ramps over each shared overlap
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .flow import FlowConfig, integrate
 from .lut import Lut3D
 from .purifier import PurifierNet
@@ -25,9 +26,9 @@ class TilePlan:
 
     def __post_init__(self):
         if self.tile < 1:
-            raise ValueError("tile size must be positive")
+            raise ConfigError("tile size must be positive")
         if not 0 <= self.overlap < self.tile:
-            raise ValueError("overlap must satisfy 0 <= overlap < tile")
+            raise ConfigError("overlap must satisfy 0 <= overlap < tile")
 
 
 def tile_spans(length: int, plan: TilePlan) -> list[tuple[int, int]]:
@@ -64,22 +65,25 @@ def _axis_weights(spans: list[tuple[int, int]], idx: int) -> np.ndarray:
     return w
 
 
+def _tile_weights(height: int, width: int, plan: TilePlan):
+    """Yield (y span, x span, raw weight map) for every tile, row-major."""
+    spans_y = tile_spans(height, plan)
+    spans_x = tile_spans(width, plan)
+    for iy, span_y in enumerate(spans_y):
+        wy = _axis_weights(spans_y, iy)
+        for ix, span_x in enumerate(spans_x):
+            yield span_y, span_x, np.outer(wy, _axis_weights(spans_x, ix))
+
+
 def blend_weight_maps(height: int, width: int, plan: TilePlan):
     """Per-tile normalized weight maps: list of (y span, x span, map).
 
     The maps sum to exactly 1 at every covered pixel.
     """
-    spans_y = tile_spans(height, plan)
-    spans_x = tile_spans(width, plan)
-    raw = []
+    raw = list(_tile_weights(height, width, plan))
     acc = np.zeros((height, width), dtype=np.float64)
-    for iy, (y0, y1) in enumerate(spans_y):
-        wy = _axis_weights(spans_y, iy)
-        for ix, (x0, x1) in enumerate(spans_x):
-            wx = _axis_weights(spans_x, ix)
-            wmap = np.outer(wy, wx)
-            raw.append(((y0, y1), (x0, x1), wmap))
-            acc[y0:y1, x0:x1] += wmap
+    for (y0, y1), (x0, x1), wmap in raw:
+        acc[y0:y1, x0:x1] += wmap
     return [((y0, y1), (x0, x1), wmap / acc[y0:y1, x0:x1])
             for (y0, y1), (x0, x1), wmap in raw]
 
@@ -98,27 +102,24 @@ def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
 
     out = np.zeros_like(data, dtype=np.float64)
     acc = np.zeros((h, w), dtype=np.float64)
-    spans_y = tile_spans(h, plan)
-    spans_x = tile_spans(w, plan)
-    for iy, (y0, y1) in enumerate(spans_y):
-        wy = _axis_weights(spans_y, iy)
-        for ix, (x0, x1) in enumerate(spans_x):
-            wx = _axis_weights(spans_x, ix)
-            wmap = np.outer(wy, wx)
-            result = fn(np.ascontiguousarray(data[:, :, y0:y1, x0:x1]))
-            out[:, :, y0:y1, x0:x1] += result * wmap
-            acc[y0:y1, x0:x1] += wmap
+    for (y0, y1), (x0, x1), wmap in _tile_weights(h, w, plan):
+        result = fn(np.ascontiguousarray(data[:, :, y0:y1, x0:x1]))
+        out[:, :, y0:y1, x0:x1] += result * wmap
+        acc[y0:y1, x0:x1] += wmap
     out /= acc
     return out.astype(data.dtype)
 
 
-def dehaze_tiled(x, net: PurifierNet, lut: Lut3D | None, cfg: FlowConfig,
-                 plan: TilePlan) -> np.ndarray:
-    """Integrate the flow per tile and blend; clamped (1, 3, H, W) output."""
+def dehaze(x, net: PurifierNet, lut: Lut3D | None, cfg: FlowConfig,
+           plan: TilePlan | None = None) -> np.ndarray:
+    """Integrate the flow without gradients; clamped (N, 3, H, W) output.
+
+    With a plan the image is processed tile by tile and the tiles blended.
+    """
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
 
     def run(tile: np.ndarray) -> np.ndarray:
         with no_grad():
             return integrate(Tensor(tile), net, lut, cfg).output.data
 
-    return process_tiled(data, run, plan)
+    return run(data) if plan is None else process_tiled(data, run, plan)

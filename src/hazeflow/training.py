@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .flow import FlowConfig, integrate
 from .lut import Lut3D, identity_lut
 from .purifier import PurifierNet
@@ -33,9 +33,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+            raise ConfigError("learning rate must be non-negative")
         if not 0.0 < self.factor < 1.0:
-            raise ValueError("scheduler factor must lie in (0, 1)")
+            raise ConfigError("scheduler factor must lie in (0, 1)")
 
 
 def l1_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -192,6 +192,8 @@ def make_transmission(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def make_toy_dataset(n: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """n synthetic hazy/clean pairs as (n, 3, size, size) float32 arrays."""
+    if n < 1:
+        raise ConfigError("a synthetic dataset needs at least one pair")
     rng = np.random.default_rng(seed)
     clean = np.stack([make_clean_image(rng, size) for _ in range(n)])
     hazy = np.empty_like(clean)

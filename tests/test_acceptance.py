@@ -26,7 +26,7 @@ from hazeflow.lut import identity_lut, lattice_coords, trilinear_apply
 from hazeflow.metrics import psnr, ssim
 from hazeflow.purifier import PurifierNet, purify, scattering_transform
 from hazeflow.tensor import Tensor, no_grad
-from hazeflow.tiling import TilePlan, blend_weight_maps, dehaze_tiled
+from hazeflow.tiling import TilePlan, blend_weight_maps, dehaze
 from hazeflow.training import (TrainConfig, l1_loss, make_toy_dataset,
                                train_loop)
 from test_metrics import naive_ssim
@@ -273,7 +273,7 @@ def test_criterion_09_uhd_tiled_processing(rng):
     del yy, xx
 
     t0 = time.perf_counter()
-    output = dehaze_tiled(image, net, lut, cfg, plan)
+    output = dehaze(image, net, lut, cfg, plan)
     elapsed = time.perf_counter() - t0
     shape_ok = output.shape == (1, 3, 2160, 3840)
     range_ok = output.min() >= 0.0 and output.max() <= 1.0
@@ -283,7 +283,7 @@ def test_criterion_09_uhd_tiled_processing(rng):
 
     # single-tile degenerate case is bit-identical to plain integrate
     small = rng.uniform(0, 1, (1, 3, 64, 64)).astype(np.float32)
-    tiled_small = dehaze_tiled(small, net, lut, cfg, plan)
+    tiled_small = dehaze(small, net, lut, cfg, plan)
     with no_grad():
         untiled_small = integrate(Tensor(small), net, lut, cfg).output.data
     single_ok = np.array_equal(tiled_small, untiled_small)

@@ -61,6 +61,17 @@ def test_run_bench_tiled_smoke():
     assert "total_macs" in report.key_value_lines()
 
 
+def test_tiled_only_when_the_plan_splits_the_image():
+    cfg = FlowConfig(solver="euler", steps=1)
+    fits = run_bench(40, 48, cfg, net_width=4, lut_size=5,
+                     plan=TilePlan(tile=48, overlap=8))
+    splits = run_bench(40, 56, cfg, net_width=4, lut_size=5,
+                       plan=TilePlan(tile=48, overlap=8))
+    assert not fits.tiled
+    assert fits.macs_per_eval == sum(purifier_macs(4, 40, 48).values())
+    assert splits.tiled
+
+
 def test_tiled_macs_count_every_tile_with_overlap():
     cfg = FlowConfig(solver="euler", steps=2)
     plan = TilePlan(tile=48, overlap=8)

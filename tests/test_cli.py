@@ -7,9 +7,12 @@ import struct
 import numpy as np
 import pytest
 
-from hazeflow.checkpoint import FORMAT_VERSION, MAGIC
+from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, save_checkpoint
 from hazeflow.cli import main
+from hazeflow.flow import SOLVERS, FlowConfig
 from hazeflow.imgio import load_image, save_image
+from hazeflow.lut import identity_lut
+from hazeflow.purifier import PurifierNet
 
 
 @pytest.fixture
@@ -142,6 +145,46 @@ def test_corrupt_checkpoint_header_is_data_error(tmp_path, hazy_ppm, capsys,
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
     assert "corrupt checkpoint header" in err
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
+    # a huge head kernel makes the first field evaluation overflow, so
+    # midpoint's and RK4's first stage state is already non-finite
+    net = PurifierNet(width=4, seed=0)
+    net.params["head.w"].data[...] = 1e38
+    ckpt = tmp_path / "exploding.hzf"
+    save_checkpoint(str(ckpt), net, identity_lut(5), FlowConfig())
+    with np.errstate(all="ignore"):
+        rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
+                   "--checkpoint", str(ckpt), "--tile", "0",
+                   "--solver", solver, "--steps", "2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("divergence:") and err.count("\n") == 1
+    assert "(step 1)" in err
+
+
+_BAD_CONFIGS = {
+    "dehaze_steps_0": ["dehaze", "--steps", "0"],
+    "dehaze_negative_lambda": ["dehaze", "--lambda", "-1"],
+    "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
+    "train_negative_lr": ["train", "--lr", "-1"],
+    "train_factor_2": ["train", "--factor", "2"],
+    "train_no_synth_pairs": ["train", "--synth-pairs", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
+    cmd, *flags = _BAD_CONFIGS[case]
+    paths = ([str(hazy_ppm), str(tmp_path / "out.ppm")] if cmd == "dehaze"
+             else ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
+                   "--synth-size", "8"])
+    rc = main([cmd, *paths, *flags, "--width", "4", "--lut-size", "5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEval:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hazeflow.errors import DataError, DivergenceError
-from hazeflow.flow import (FIELD_EVALS, FlowConfig, euler_step, integrate,
-                           integrate_field, midpoint_step, rk4_step,
-                           vector_field)
+from hazeflow.flow import (FIELD_EVALS, SOLVERS, FlowConfig, integrate,
+                           integrate_field, solver_step, vector_field)
 from hazeflow.lut import Lut3D, identity_lut
 from hazeflow.purifier import PurifierNet, purify
 from hazeflow.tensor import Tensor
@@ -61,24 +60,30 @@ class TestVectorField:
         assert lut.grid.grad is not None and np.any(lut.grid.grad != 0)
 
 
-class TestSteps:
-    @pytest.mark.parametrize("step", [euler_step, midpoint_step, rk4_step])
-    def test_zero_field_keeps_state(self, step):
-        assert step(1.25, lambda t, x: 0.0 * x, 0.0, 0.1) == 1.25
+def step_id(solver):
+    return f"{solver}_step"
 
-    @pytest.mark.parametrize("step", [euler_step, midpoint_step, rk4_step])
-    def test_constant_field_moves_by_c_dt(self, step):
-        out = step(0.5, lambda t, x: x * 0.0 + 2.0, 0.0, 0.25)
+
+class TestSteps:
+    @pytest.mark.parametrize("solver", SOLVERS, ids=step_id)
+    def test_zero_field_keeps_state(self, solver):
+        assert solver_step(solver, 1.25, lambda t, x: 0.0 * x, 0.0, 0.1) == 1.25
+
+    @pytest.mark.parametrize("solver", SOLVERS, ids=step_id)
+    def test_constant_field_moves_by_c_dt(self, solver):
+        out = solver_step(solver, 0.5, lambda t, x: x * 0.0 + 2.0, 0.0, 0.25)
         assert out == pytest.approx(1.0, abs=1e-12)
 
     def test_euler_decay(self):
-        assert euler_step(1.0, decay, 0.0, 0.1) == pytest.approx(0.9)
+        assert solver_step("euler", 1.0, decay, 0.0, 0.1) == pytest.approx(0.9)
 
     def test_midpoint_decay(self):
-        assert midpoint_step(1.0, decay, 0.0, 0.1) == pytest.approx(0.905)
+        assert (solver_step("midpoint", 1.0, decay, 0.0, 0.1)
+                == pytest.approx(0.905))
 
     def test_rk4_decay(self):
-        assert rk4_step(1.0, decay, 0.0, 0.1) == pytest.approx(0.9048375)
+        assert (solver_step("rk4", 1.0, decay, 0.0, 0.1)
+                == pytest.approx(0.9048375))
 
 
 class TestIntegrateField:
@@ -124,7 +129,8 @@ class TestIntegrateField:
         whole, _ = integrate_field(x0, field, cfg)
         manual = x0
         for i in range(4):
-            manual = rk4_step(manual, field, cfg.t0 + i * cfg.dt, cfg.dt)
+            manual = solver_step("rk4", manual, field, cfg.t0 + i * cfg.dt,
+                                 cfg.dt)
         np.testing.assert_array_equal(whole.data, manual.data)
 
     def test_divergence_names_step(self):

@@ -9,7 +9,7 @@ from hazeflow.flow import FlowConfig, integrate
 from hazeflow.lut import identity_lut
 from hazeflow.purifier import PurifierNet
 from hazeflow.tensor import Tensor, no_grad
-from hazeflow.tiling import (TilePlan, blend_weight_maps, dehaze_tiled,
+from hazeflow.tiling import (TilePlan, blend_weight_maps, dehaze,
                              process_tiled, tile_spans)
 
 
@@ -83,7 +83,7 @@ class TestDehazeTiled:
         cfg = FlowConfig(solver="euler", steps=2)
         img = rng.uniform(0, 1, (1, 3, 40, 48)).astype(np.float32)
         plan = TilePlan(tile=64, overlap=8)
-        tiled = dehaze_tiled(img, net, lut, cfg, plan)
+        tiled = dehaze(img, net, lut, cfg, plan)
         with no_grad():
             untiled = integrate(Tensor(img), net, lut, cfg).output.data
         np.testing.assert_array_equal(tiled, untiled)
@@ -117,7 +117,7 @@ class TestDehazeTiled:
                         0.4 + 0.2 * np.sin(xx * 6)], axis=0)[None]
         img = img.astype(np.float32)
         plan = TilePlan(tile=32, overlap=8)
-        tiled = dehaze_tiled(img, net, lut, cfg, plan)
+        tiled = dehaze(img, net, lut, cfg, plan)
         with no_grad():
             untiled = integrate(Tensor(img), net, lut, cfg).output.data
         assert np.abs(tiled - untiled).max() < 1e-4
@@ -126,7 +126,7 @@ class TestDehazeTiled:
         net = per_pixel_net()
         img = rng.uniform(0, 1, (1, 3, 50, 70)).astype(np.float32)
         cfg = FlowConfig(solver="euler", steps=1, lam=0.0)
-        out = dehaze_tiled(img, net, None, cfg, TilePlan(tile=32, overlap=8))
+        out = dehaze(img, net, None, cfg, TilePlan(tile=32, overlap=8))
         assert out.shape == img.shape
         assert out.dtype == np.float32
 
