@@ -151,10 +151,12 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
         def _bwd(g, a=x, gr=grid):
             gout = np.moveaxis(g, 1, 3)  # (B, H, W, 3)
             if gr.requires_grad or gr._op:
-                gg = np.zeros_like(gr.data).reshape(m * m * m, 3)
-                for lin, w, _val, _ in corners:
-                    np.add.at(gg, lin, w[..., None] * gout)
-                gr._accumulate(gg.reshape(gr.data.shape))
+                # one float64 bincount per colour channel over all 8 corners
+                lins = np.concatenate([c[0].ravel() for c in corners])
+                ws = np.stack([c[1] for c in corners])  # (8, B, H, W)
+                gg = np.stack([np.bincount(lins, (ws * gout[..., ch]).ravel(), m ** 3)
+                               for ch in range(3)], axis=-1)
+                gr._accumulate(gg.astype(gr.data.dtype).reshape(gr.data.shape))
             if a.requires_grad or a._op:
                 dr = np.zeros(fr.shape + (3,), dtype=np.float64)
                 dg = np.zeros_like(dr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu,
                      instance_norm, maxpool2d, spatial_attention,
                      upsample_bilinear2x)
@@ -35,7 +35,7 @@ class PurifierNet:
 
     def __init__(self, width: int = 16, seed: int = 0, dtype=np.float32):
         if width < 1:
-            raise ValueError("width must be positive")
+            raise ConfigError("width must be positive")
         self.width = int(width)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)

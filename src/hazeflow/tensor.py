@@ -318,19 +318,41 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray):
-    # valid stride-1 cross-correlation of (B, C, Hp, Wp) with (O, C, kh, kw)
-    # as im2col plus one BLAS gemm per batch item; returns the output and
-    # the (B, C*kh*kw, Ho*Wo) columns the weight gradient reuses
+# Element budget of one strip's column buffer: 1 MB of float32, so a
+# strip stays in one core's L2 cache between its copy and its GEMM.
+_STRIP_ELEMS = 1 << 18
+
+
+def _column_blocks(xp: np.ndarray, kh: int, kw: int):
+    # im2col of a (B, C, Hp, Wp) input in strips of output rows: yields
+    # (r0, r1, cols) with cols the (B, C*kh*kw, (r1-r0)*Wo) columns of
+    # output rows r0:r1; every strip reuses one buffer, so each must be
+    # consumed before the next is drawn
     b, c, hp, wp = xp.shape
-    c_out, _, kh, kw = kernel.shape
     ho, wo = hp - kh + 1, wp - kw + 1
+    k = c * kh * kw
+    rows = max(1, min(ho, _STRIP_ELEMS // (b * k * wo)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    # (B, C, Ho, Wo, kh, kw) -> (B, C, kh, kw, Ho, Wo)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3))
-    cols = cols.reshape(b, c * kh * kw, ho * wo)
-    out = np.matmul(kernel.reshape(c_out, -1), cols)
-    return out.reshape(b, c_out, ho, wo), cols
+    buf = np.empty(b * k * rows * wo, dtype=xp.dtype)
+    for r0 in range(0, ho, rows):
+        r1 = min(r0 + rows, ho)
+        cols = buf[:b * k * (r1 - r0) * wo].reshape(b, c, kh, kw, r1 - r0, wo)
+        # (B, C, rows, Wo, kh, kw) -> (B, C, kh, kw, rows, Wo)
+        np.copyto(cols, win[:, :, r0:r1].transpose(0, 1, 4, 5, 2, 3))
+        yield r0, r1, cols.reshape(b, k, (r1 - r0) * wo)
+
+
+def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # valid stride-1 cross-correlation of (B, C, Hp, Wp) with (O, C, kh, kw):
+    # one BLAS gemm per strip and batch item, written into the output
+    b = xp.shape[0]
+    c_out, _, kh, kw = kernel.shape
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    out = np.empty((b, c_out, ho * wo), dtype=np.result_type(xp, kernel))
+    w2 = kernel.reshape(c_out, -1)
+    for r0, r1, cols in _column_blocks(xp, kh, kw):
+        np.matmul(w2, cols, out=out[:, :, r0 * wo:r1 * wo])
+    return out.reshape(b, c_out, ho, wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -358,22 +380,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if hp < kh or wp < kw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
 
-    out_data, cols = _correlate(xp, weight.data)
+    out_data = _correlate(xp, weight.data)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, c_out, 1, 1)
+        out_data += bias.data.reshape(1, c_out, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor._result(out_data, parents, "conv2d")
     if out._op:
         def _bwd(g, a=x, wt=weight, bt=bias):
             if wt.requires_grad or wt._op:
-                gw = np.matmul(g.reshape(b, c_out, -1), cols.transpose(0, 2, 1))
-                wt._accumulate(gw.sum(axis=0).reshape(wt.data.shape))
+                # the same strips as the forward: the graph keeps xp, not
+                # the columns
+                g2, wo = g.reshape(b, c_out, -1), g.shape[3]
+                gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
+                for r0, r1, cols in _column_blocks(xp, kh, kw):
+                    gs = g2[:, :, r0 * wo:r1 * wo]
+                    gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
+                wt._accumulate(gw.reshape(wt.data.shape))
             if bt is not None and (bt.requires_grad or bt._op):
                 bt._accumulate(g.sum(axis=(0, 2, 3)))
             if a.requires_grad or a._op:
                 gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-                gx, _ = _correlate(gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+                gx = _correlate(gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
                 gx = gx[:, :, padding:padding + h, padding:padding + w]
                 a._accumulate(np.ascontiguousarray(gx))
         out._backward = _bwd

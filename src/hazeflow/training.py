@@ -34,6 +34,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("learning rate must be non-negative")
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be positive")
         if not 0.0 < self.factor < 1.0:
             raise ConfigError("scheduler factor must lie in (0, 1)")
 
@@ -194,6 +196,8 @@ def make_toy_dataset(n: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarr
     """n synthetic hazy/clean pairs as (n, 3, size, size) float32 arrays."""
     if n < 1:
         raise ConfigError("a synthetic dataset needs at least one pair")
+    if size < 1:
+        raise ConfigError("synthetic images need a positive size")
     rng = np.random.default_rng(seed)
     clean = np.stack([make_clean_image(rng, size) for _ in range(n)])
     hazy = np.empty_like(clean)
@@ -270,6 +274,8 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
     if net is None:
         net = PurifierNet(width=width, seed=cfg.seed)
     if lut is None and flow_cfg.lam > 0:
+        if lut_size < 2:
+            raise ConfigError("a LUT needs at least 2 bins per channel")
         lut = identity_lut(lut_size)
     val_hazy, val_clean = val_pairs if val_pairs is not None else (hazy, clean)
 

@@ -172,6 +172,10 @@ _BAD_CONFIGS = {
     "train_negative_lr": ["train", "--lr", "-1"],
     "train_factor_2": ["train", "--factor", "2"],
     "train_no_synth_pairs": ["train", "--synth-pairs", "0"],
+    "train_batch_size_0": ["train", "--batch-size", "0"],
+    "train_synth_size_0": ["train", "--synth-size", "0"],
+    "train_width_0": ["train", "--width", "0"],
+    "train_lut_size_1": ["train", "--lut-size", "1"],
 }
 
 
@@ -181,7 +185,7 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     paths = ([str(hazy_ppm), str(tmp_path / "out.ppm")] if cmd == "dehaze"
              else ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
                    "--synth-size", "8"])
-    rc = main([cmd, *paths, *flags, "--width", "4", "--lut-size", "5"])
+    rc = main([cmd, *paths, "--width", "4", "--lut-size", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1

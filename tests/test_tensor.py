@@ -1,11 +1,14 @@
 """Tensor engine: forward semantics of every op plus gradient fidelity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazeflow.errors import GraphError, ShapeError
+from hazeflow import tensor as tensor_mod
 from hazeflow.gradcheck import check_gradients
 from hazeflow.tensor import (Tensor, concat_channels, conv2d, crop2d, gelu,
                              instance_norm, maxpool2d, no_grad,
@@ -359,10 +362,24 @@ def test_upsample_gradient_at_unit_and_odd_sizes(shape):
     assert _gradcheck64(lambda: (upsample_bilinear2x(x) * r).sum(), [x]) <= 1.0
 
 
-@pytest.mark.parametrize("kernel,padding", [(3, 0), (3, 2), (1, 1)])
-def test_conv2d_gradient_pad_and_crop(kernel, padding):
+# At (2, 3, 5, 4) with a 3x3 kernel and padding 1, a strip row of the
+# forward columns holds 2*27*4 = 216 elements and one of the input
+# gradient's (2 channels, g padded to 9x8) 2*18*6 = 216: a budget of 1
+# gives 1-row strips, one of 432 gives 2-row strips with a short last strip
+# (5 rows = 2+2+1 forward, 7 rows = 2+2+2+1 backward).
+@pytest.mark.parametrize("kernel,padding,strip_elems", [
+    pytest.param(3, 0, None, id="3-0"),
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(1, 1, None, id="1-1"),
+    pytest.param(3, 1, 1, id="3-1-one-row-strips"),
+    pytest.param(3, 1, 432, id="3-1-short-last-strip"),
+])
+def test_conv2d_gradient_pad_and_crop(monkeypatch, kernel, padding, strip_elems):
     # the input gradient is a correlation of g padded by k-1, then cropped
-    # by `padding`: the cases crop less than, exactly and more than k-1
+    # by `padding`: the cases crop less than, exactly and more than k-1;
+    # the weight gradient sums one GEMM per strip of output rows
+    if strip_elems is not None:
+        monkeypatch.setattr(tensor_mod, "_STRIP_ELEMS", strip_elems)
     rng = np.random.default_rng(10 * kernel + padding)
     x = Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)), requires_grad=True, dtype=np.float64)
     w = Tensor(rng.uniform(-1, 1, (2, 3, kernel, kernel)), requires_grad=True,
@@ -372,3 +389,54 @@ def test_conv2d_gradient_pad_and_crop(kernel, padding):
     r = rng.uniform(-1, 1, out_shape)
     assert _gradcheck64(lambda: (conv2d(x, w, b, padding=padding) * r).sum(),
                         [x, w, b]) <= 1.0
+
+
+def _conv_reference(x, w, b, padding):
+    # unblocked float64 correlation: every output element sums its window
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, w.shape[2:], axis=(2, 3))
+    return np.einsum("bchwij,ocij->bohw", win, w) + b[None, :, None, None]
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("rows,strips", [
+    pytest.param(1, [(r, r + 1) for r in range(7)], id="one-row-strips"),
+    pytest.param(3, [(0, 3), (3, 6), (6, 7)], id="short-last-strip"),
+])
+def test_conv2d_strips_match_unblocked_reference(monkeypatch, batch, rows, strips):
+    # 7 output rows of 5 columns, 27 column rows per batch item: the budget
+    # admits `rows` output rows per strip, and 3-row strips end short
+    monkeypatch.setattr(tensor_mod, "_STRIP_ELEMS", rows * batch * 27 * 5)
+    seen = []
+    blocks = tensor_mod._column_blocks
+
+    def spy(xp, kh, kw):
+        for r0, r1, cols in blocks(xp, kh, kw):
+            seen.append((r0, r1))
+            yield r0, r1, cols
+
+    monkeypatch.setattr(tensor_mod, "_column_blocks", spy)
+    rng = np.random.default_rng(batch * 10 + rows)
+    x = rng.uniform(-1, 1, (batch, 3, 7, 5))
+    w = rng.uniform(-1, 1, (4, 3, 3, 3))
+    b = rng.uniform(-1, 1, (4,))
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+    assert seen == strips
+    np.testing.assert_allclose(out, _conv_reference(x, w, b, 1), rtol=0, atol=1e-12)
+
+
+def test_conv2d_keeps_no_full_column_matrix():
+    # inference holds the padded input, the output and one strip buffer;
+    # full im2col columns alone would be 9x the padded input
+    x = Tensor(np.ones((1, 19, 512, 512), dtype=np.float32))
+    w = Tensor(np.ones((16, 19, 3, 3), dtype=np.float32))
+    padded, output = 19 * 514 * 514 * 4, 16 * 512 * 512 * 4
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = conv2d(x, w, padding=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 16, 512, 512)
+    assert peak < 3 * (padded + output)
