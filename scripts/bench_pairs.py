@@ -1,0 +1,169 @@
+#!/usr/bin/env python3
+"""Parent/change benchmark pairs, recorded as one BENCH_<tag>.json file.
+
+    python scripts/bench_pairs.py --parent ../parent --change ../change \
+        --seed-base 6001 --out BENCH_mytag.json
+
+`--parent` and `--change` are two checkouts of the repository (clones or
+exported trees, each with its own `src/` and `perfbench/`). For every
+workload in BENCHMARK.json the script runs 10 pairs of
+`perfbench/run.py --trace 0` in both, at the declared `run_seconds`, one
+seed per pair, alternating which side goes first so that slow drift of
+the machine's load falls on both sides alike. Seeds are consecutive from
+`--seed-base`, 100 apart per workload; use seeds that development runs
+did not. It then runs, once per side:
+
+- one traced run (`--trace 1`) per workload, seed `--seed-base` + 900,
+  for the per-layer figures;
+- `hazeflow bench --height 2160 --width 3840 --tile 512` at Euler x1;
+- the tier-1 test suite, for its wall time and summary line.
+
+The output holds, per side and metric, the median and quartiles of the
+pairs, how many pairs the change won on each end-to-end metric (direction
+from BENCHMARK.json), the failed/attempted counts, the seeds, the commit
+and `src/` tree ids of both checkouts, and perfbench's `env` line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SIDES = ("parent", "change")
+PAIRS = 10
+UHD_ARGS = ["bench", "--height", "2160", "--width", "3840", "--tile", "512",
+            "--solver", "euler", "--steps", "1"]
+
+
+def run(cmd, cwd, timeout=1800):
+    env = dict(os.environ, PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+    return proc, time.perf_counter() - t0
+
+
+def git_ids(path):
+    ids = {}
+    for key, rev in (("commit", "HEAD"), ("src_tree", "HEAD:src")):
+        proc = subprocess.run(["git", "rev-parse", rev], cwd=path,
+                              capture_output=True, text=True)
+        ids[key] = proc.stdout.strip() if proc.returncode == 0 else None
+    dirty = subprocess.run(["git", "status", "--porcelain", "src", "perfbench"],
+                           cwd=path, capture_output=True, text=True)
+    ids["src_clean"] = dirty.returncode == 0 and not dirty.stdout.strip()
+    return ids
+
+
+def perfbench(path, workload, seed, trace, seconds):
+    proc, _ = run([sys.executable, "perfbench/run.py", "--workload", workload,
+                   "--seed", str(seed), "--seconds", str(seconds),
+                   "--trace", str(trace)], path)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench {workload} seed {seed} in {path} "
+                           f"failed:\n{proc.stderr}")
+    lines = proc.stdout.strip().splitlines()
+    env = next(json.loads(ln[4:]) for ln in lines if ln.startswith("env "))
+    return json.loads(lines[-1]), env
+
+
+def summary(values):
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3, "values": values}
+
+
+def measure_pairs(args, declared, directions):
+    out, env = {}, None
+    for w_index, workload in enumerate(w["name"] for w in declared["workloads"]):
+        seeds = [args.seed_base + 100 * w_index + i for i in range(PAIRS)]
+        runs = {side: [] for side in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                result, env = perfbench(getattr(args, side), workload, seed, 0,
+                                        declared["run_seconds"])
+                runs[side].append(result)
+                value = result["metrics"]["op_s_p50"]["value"]
+                print(f"{workload} seed {seed} {side}: op_s_p50 {value:.3f}",
+                      flush=True)
+        entry = {"seeds": seeds, "first": [SIDES[i % 2] for i in range(len(seeds))]}
+        for side in SIDES:
+            metrics = runs[side][0]["metrics"]
+            entry[side] = {
+                name: summary([r["metrics"][name]["value"] for r in runs[side]])
+                for name in metrics}
+            entry[side]["failed"] = sum(r["failed"] for r in runs[side])
+            entry[side]["attempted"] = sum(r["attempted"] for r in runs[side])
+        entry["change_wins"] = {}
+        for name, better in directions.items():
+            pairs = zip(entry["parent"][name]["values"],
+                        entry["change"][name]["values"])
+            entry["change_wins"][name] = sum(
+                (c < p) if better == "lower" else (c > p) for p, c in pairs)
+        out[workload] = entry
+    return out, env
+
+
+def measure_traced(args, workloads, seconds):
+    out, seed = {}, args.seed_base + 900
+    for workload in workloads:
+        out[workload] = {"seed": seed}
+        for side in SIDES:
+            result, _ = perfbench(getattr(args, side), workload, seed, 1, seconds)
+            out[workload][side] = {name: m["value"]
+                                   for name, m in result["metrics"].items()}
+            print(f"{workload} traced {side} done", flush=True)
+    return out
+
+
+def measure_uhd(path):
+    proc, wall = run([sys.executable, "-c",
+                      "import sys; from hazeflow.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))", *UHD_ARGS], path)
+    if proc.returncode != 0:
+        raise RuntimeError(f"hazeflow bench in {path} failed:\n{proc.stderr}")
+    return {"command": "hazeflow " + " ".join(UHD_ARGS), "wall_s": wall,
+            "report": proc.stdout.strip().splitlines()}
+
+
+def measure_tier1(path):
+    proc, wall = run([sys.executable, "-m", "pytest", "-q", "-p",
+                      "no:cacheprovider", "--continue-on-collection-errors"],
+                     path, timeout=3600)
+    return {"wall_s": wall, "summary": proc.stdout.strip().splitlines()[-1]}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", required=True, help="checkout of the parent")
+    p.add_argument("--change", required=True, help="checkout of the change")
+    p.add_argument("--seed-base", type=int, required=True)
+    p.add_argument("--out", required=True, help="the BENCH_<tag>.json to write")
+    args = p.parse_args(argv)
+
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = json.load(fh)
+    directions = {m["name"]: m["better"] for m in declared["end_to_end"]}
+
+    record = {"seconds": declared["run_seconds"], "pairs": PAIRS}
+    for side in SIDES:
+        record[side] = git_ids(getattr(args, side))
+    record["workloads"], record["env"] = measure_pairs(args, declared, directions)
+    record["traced"] = measure_traced(args, list(record["workloads"]),
+                                      declared["run_seconds"])
+    record["uhd_bench"] = {side: measure_uhd(getattr(args, side)) for side in SIDES}
+    record["tier1"] = {side: measure_tier1(getattr(args, side)) for side in SIDES}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

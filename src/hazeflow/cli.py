@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HazeflowError
 from .flow import SOLVERS, FlowConfig, integrate
 from .imgio import load_image, save_image
-from .lut import identity_lut
+from .lut import lut_from_size
 from .metrics import MetricReport, evaluate_pairs, psnr, ssim
 from .purifier import PurifierNet
 from .tensor import Tensor, no_grad
@@ -106,7 +106,7 @@ def _load_model(args):
         ckpt = load_checkpoint(args.checkpoint)
         return ckpt.net, ckpt.lut, _flow_from_args(args, ckpt.flow)
     net = PurifierNet(width=args.width, seed=args.seed)
-    lut = identity_lut(args.lut_size)
+    lut = lut_from_size(args.lut_size)
     return net, lut, _flow_from_args(args)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import LatticeRangeError, ShapeError
+from .errors import ConfigError, LatticeRangeError, ShapeError
 from .tensor import Tensor
 
 _RANGE_TOL = 1e-6
@@ -62,6 +62,13 @@ def identity_lut(m: int = 33, c_max: float = 1.0, dtype=np.float32,
     return Lut3D(Tensor(grid.astype(dtype), requires_grad=requires_grad), c_max)
 
 
+def lut_from_size(m: int, requires_grad: bool = True) -> Lut3D:
+    """Identity LUT for a user-chosen bin count; ConfigError below 2 bins."""
+    if m < 2:
+        raise ConfigError("a LUT needs at least 2 bins per channel")
+    return identity_lut(m, requires_grad=requires_grad)
+
+
 def fixed_contrast_saturation_lut(m: int = 33, c_max: float = 1.0,
                                   alpha: float = 1.2, beta: float = 1.2,
                                   dtype=np.float32) -> Lut3D:
@@ -98,12 +105,24 @@ def lattice_coords(rgb, lut: Lut3D) -> tuple[float, float, float]:
     return float(coords[0]), float(coords[1]), float(coords[2])
 
 
+# the 8 cell corners in row-major (di, dj, dk) order: the order of the sum
+_CORNERS = [(di, dj, dk) for di in (0, 1) for dj in (0, 1) for dk in (0, 1)]
+_SIGN = (-1.0, 1.0)
+
+
+def _axis_weights(frac):
+    # per colour axis: (weight of the low corner, weight of the high corner)
+    return [(1.0 - f, f) for f in (frac[:, 0], frac[:, 1], frac[:, 2])]
+
+
 def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
     """Map every pixel through the lattice with trilinear interpolation.
 
     Differentiable with respect to both the image and the grid; grid
     gradients scatter onto the 8 cell corners with the interpolation
-    weights.
+    weights. A corner is one flat index, the cell's base index plus a
+    constant offset, gathered by `np.take` from a channel-major (3, M^3)
+    copy of the grid and accumulated in place into the (B, 3, H, W) output.
     """
     if x.data.ndim != 4 or x.data.shape[1] != 3:
         raise ShapeError(f"expected a (B, 3, H, W) image, got {x.shape}")
@@ -120,62 +139,50 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
     pos = np.clip(data.astype(np.float64) * scale, 0.0, m - 1)  # (B, 3, H, W)
     cell = np.minimum(pos.astype(np.int64), m - 2)
     frac = (pos - cell).astype(data.dtype)
+    base = (cell[:, 0] * m + cell[:, 1]) * m + cell[:, 2]  # (B, H, W)
+    offsets = [(di * m + dj) * m + dk for di, dj, dk in _CORNERS]
+    # in the dtype of weight * value, so each term is the same product
+    table = np.moveaxis(grid.data, 3, 0).reshape(3, m ** 3).astype(
+        np.result_type(frac, grid.data))
 
-    i0, j0, k0 = cell[:, 0], cell[:, 1], cell[:, 2]
-    fr, fg, fb = frac[:, 0], frac[:, 1], frac[:, 2]
+    lo_hi = _axis_weights(frac)
+    out_data = np.empty(data.shape, dtype=table.dtype)
+    acc = out_data.transpose(1, 0, 2, 3)  # (3, B, H, W) view
+    vals = np.empty(acc.shape, dtype=table.dtype)
+    for n, ((di, dj, dk), off) in enumerate(zip(_CORNERS, offsets)):
+        np.take(table, base + off, axis=1, out=vals, mode="clip")
+        w = lo_hi[0][di] * lo_hi[1][dj] * lo_hi[2][dk]
+        if n == 0:
+            np.multiply(vals, w, out=acc)
+        else:
+            acc += np.multiply(vals, w, out=vals)
 
-    flat = grid.data.reshape(m * m * m, 3)
-
-    def corner(di, dj, dk):
-        lin = ((i0 + di) * m + (j0 + dj)) * m + (k0 + dk)
-        return lin, flat[lin]  # (B, H, W), (B, H, W, 3)
-
-    out = None
-    corners = []
-    for di in (0, 1):
-        wr = fr if di else (1.0 - fr)
-        for dj in (0, 1):
-            wg = fg if dj else (1.0 - fg)
-            for dk in (0, 1):
-                wb = fb if dk else (1.0 - fb)
-                lin, val = corner(di, dj, dk)
-                w = (wr * wg * wb)
-                corners.append((lin, w, val, (di, dj, dk)))
-                term = w[..., None] * val
-                out = term if out is None else out + term
-
-    out_data = np.ascontiguousarray(
-        np.moveaxis(out, 3, 1).astype(data.dtype, copy=False))
-    result = Tensor._result(out_data, (x, grid), "trilinear_apply")
+    result = Tensor._result(out_data.astype(data.dtype, copy=False),
+                            (x, grid), "trilinear_apply")
     if result._op:
         def _bwd(g, a=x, gr=grid):
-            gout = np.moveaxis(g, 1, 3)  # (B, H, W, 3)
+            lo_hi = _axis_weights(frac)
             if gr.requires_grad or gr._op:
                 # one float64 bincount per colour channel over all 8 corners
-                lins = np.concatenate([c[0].ravel() for c in corners])
-                ws = np.stack([c[1] for c in corners])  # (8, B, H, W)
-                gg = np.stack([np.bincount(lins, (ws * gout[..., ch]).ravel(), m ** 3)
+                lins = np.concatenate([(base + off).ravel() for off in offsets])
+                ws = np.stack([lo_hi[0][di] * lo_hi[1][dj] * lo_hi[2][dk]
+                               for di, dj, dk in _CORNERS])  # (8, B, H, W)
+                gg = np.stack([np.bincount(lins, (ws * g[:, ch]).ravel(), m ** 3)
                                for ch in range(3)], axis=-1)
                 gr._accumulate(gg.astype(gr.data.dtype).reshape(gr.data.shape))
             if a.requires_grad or a._op:
-                dr = np.zeros(fr.shape + (3,), dtype=np.float64)
-                dg = np.zeros_like(dr)
-                db = np.zeros_like(dr)
-                for _lin, _w, val, (di, dj, dk) in corners:
-                    wr = fr if di else (1.0 - fr)
-                    wg = fg if dj else (1.0 - fg)
-                    wb = fb if dk else (1.0 - fb)
-                    sr = 1.0 if di else -1.0
-                    sg = 1.0 if dj else -1.0
-                    sb = 1.0 if dk else -1.0
-                    dr += (sr * wg * wb)[..., None] * val
-                    dg += (wr * sg * wb)[..., None] * val
-                    db += (wr * wg * sb)[..., None] * val
-                gx = np.empty_like(a.data)
-                gx[:, 0] = (gout * dr).sum(axis=-1) * scale
-                gx[:, 1] = (gout * dg).sum(axis=-1) * scale
-                gx[:, 2] = (gout * db).sum(axis=-1) * scale
-                a._accumulate(gx.astype(a.data.dtype, copy=False))
+                # a corner's weight has partial +-wg*wb in r (likewise g, b);
+                # each weighs the corner's value dotted with the output grad
+                gc = g.transpose(1, 0, 2, 3)
+                gx = np.zeros(g.shape, dtype=np.float64)
+                gxc = gx.transpose(1, 0, 2, 3)  # (3, B, H, W) view
+                for (di, dj, dk), off in zip(_CORNERS, offsets):
+                    s = (np.take(table, base + off, axis=1, mode="clip") * gc).sum(axis=0)
+                    wr, wg, wb = lo_hi[0][di], lo_hi[1][dj], lo_hi[2][dk]
+                    gxc[0] += _SIGN[di] * wg * wb * s
+                    gxc[1] += wr * _SIGN[dj] * wb * s
+                    gxc[2] += wr * wg * _SIGN[dk] * s
+                a._accumulate((gx * scale).astype(a.data.dtype, copy=False))
         result._backward = _bwd
     return result
 

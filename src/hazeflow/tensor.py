@@ -120,12 +120,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -243,14 +237,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def __pow__(self, exponent: float):
-        out = Tensor._result(self.data ** exponent, (self,), "pow")
-        if out._op:
-            def _bwd(g, a=self, p=exponent):
-                a._accumulate(g * p * a.data ** (p - 1))
-            out._backward = _bwd
-        return out
-
     # -- elementwise nonlinearities ------------------------------------------
 
     def abs(self):
@@ -360,8 +346,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     """2d cross-correlation. Kernels are 1x1 or 3x3, stride 1 in this project.
 
     The input gradient is the transposed convolution: the output gradient,
-    padded by k-1 and correlated with the flipped, channel-swapped kernel,
-    is the padded input's gradient, cropped by `padding` on each side.
+    padded by k-1-padding on each side (cropped where padding > k-1) and
+    correlated with the flipped, channel-swapped kernel, is the input's
+    gradient; no border that would be cropped away is computed.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects a rank-4 input, got shape {x.shape}")
@@ -400,12 +387,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             if bt is not None and (bt.requires_grad or bt._op):
                 bt._accumulate(g.sum(axis=(0, 2, 3)))
             if a.requires_grad or a._op:
-                gp = np.pad(g, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-                gx = _correlate(gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-                gx = gx[:, :, padding:padding + h, padding:padding + w]
-                a._accumulate(np.ascontiguousarray(gx))
+                ch, cw = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
+                gp = np.pad(g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw],
+                            ((0, 0), (0, 0), (kh - 1 - padding + ch,) * 2,
+                             (kw - 1 - padding + cw,) * 2))
+                a._accumulate(_correlate(
+                    gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
         out._backward = _bwd
     return out
+
+
+# the positions of a 2x2 pooling window, in row-major (tie-breaking) order
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
@@ -418,26 +411,25 @@ def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
         raise ShapeError("only window=2, stride=2 pooling is supported")
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects a rank-4 input, got shape {x.shape}")
-    b, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     pad_h, pad_w = h % 2, w % 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), mode="edge") \
         if (pad_h or pad_w) else x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho, wo = hp // 2, wp // 2
+    quads = [xp[:, :, r::2, s::2] for r, s in _WINDOW]
+    out_data = np.maximum(quads[0], quads[1])
+    np.maximum(out_data, quads[2], out=out_data)
+    np.maximum(out_data, quads[3], out=out_data)
 
-    # Window raveled row-major so argmax picks the first tied maximum.
-    windows = xp.reshape(b, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    windows = windows.reshape(b, c, ho, wo, 4)
-    arg = windows.argmax(axis=-1)
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-
-    out = Tensor._result(np.ascontiguousarray(out_data), (x,), "maxpool2d")
+    out = Tensor._result(out_data, (x,), "maxpool2d")
     if out._op:
         def _bwd(g, a=x):
-            gw = np.zeros((b, c, ho, wo, 4), dtype=g.dtype)
-            np.put_along_axis(gw, arg[..., None], g[..., None], axis=-1)
-            gp = gw.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-            gp = gp.reshape(b, c, hp, wp)
+            # the first maximal element of each window takes the gradient
+            gp = np.zeros(xp.shape, dtype=g.dtype)
+            free = np.ones(g.shape, dtype=bool)
+            for (r, s), q in zip(_WINDOW, quads):
+                hit = (q == out_data) & free
+                gp[:, :, r::2, s::2] = np.where(hit, g, 0)
+                free &= ~hit
             if pad_h:
                 gp[:, :, h - 1, :] += gp[:, :, h, :]
             if pad_w:
@@ -502,7 +494,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
         raise ShapeError(f"gain/bias must have shape ({c},)")
 
     mu = x.data.mean(axis=(2, 3), keepdims=True)
-    var = x.data.var(axis=(2, 3), keepdims=True)
+    var = x.data.var(axis=(2, 3), keepdims=True, mean=mu)
     inv = 1.0 / np.sqrt(var + eps)
     inv = inv.astype(x.data.dtype, copy=False)
     y = (x.data - mu) * inv

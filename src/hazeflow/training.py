@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 from .flow import FlowConfig, integrate
-from .lut import Lut3D, identity_lut
+from .lut import Lut3D, lut_from_size
 from .purifier import PurifierNet
 from .tensor import Tensor, no_grad
 
@@ -274,9 +274,7 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
     if net is None:
         net = PurifierNet(width=width, seed=cfg.seed)
     if lut is None and flow_cfg.lam > 0:
-        if lut_size < 2:
-            raise ConfigError("a LUT needs at least 2 bins per channel")
-        lut = identity_lut(lut_size)
+        lut = lut_from_size(lut_size)
     val_hazy, val_clean = val_pairs if val_pairs is not None else (hazy, clean)
 
     trainable = dict(net.parameters())

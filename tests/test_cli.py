@@ -169,6 +169,8 @@ _BAD_CONFIGS = {
     "dehaze_steps_0": ["dehaze", "--steps", "0"],
     "dehaze_negative_lambda": ["dehaze", "--lambda", "-1"],
     "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
+    "dehaze_lut_size_1": ["dehaze", "--lut-size", "1"],
+    "bench_lut_size_1": ["bench", "--lut-size", "1"],
     "train_negative_lr": ["train", "--lr", "-1"],
     "train_factor_2": ["train", "--factor", "2"],
     "train_no_synth_pairs": ["train", "--synth-pairs", "0"],
@@ -182,9 +184,10 @@ _BAD_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     cmd, *flags = _BAD_CONFIGS[case]
-    paths = ([str(hazy_ppm), str(tmp_path / "out.ppm")] if cmd == "dehaze"
-             else ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
-                   "--synth-size", "8"])
+    paths = {"dehaze": [str(hazy_ppm), str(tmp_path / "out.ppm")],
+             "bench": ["--height", "8", "--tile", "0"],
+             "train": ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
+                       "--synth-size", "8"]}[cmd]
     rc = main([cmd, *paths, "--width", "4", "--lut-size", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 1

@@ -110,16 +110,53 @@ class TestTrilinearApply:
         np.testing.assert_array_equal(changed, touches)
 
     def test_gradients_match_finite_differences(self, rng):
-        lut = identity_lut(5)
-        x = image(rng, (1, 3, 4, 4), lo=0.05, hi=0.95, requires_grad=True)
-        r = image(rng, (1, 3, 4, 4), lo=-1.0, hi=1.0)
+        def check(lut, x):
+            r = image(rng, x.shape, lo=-1.0, hi=1.0)
 
-        def loss():
-            return (trilinear_apply(x, lut) * r).mean()
+            def loss():
+                return (trilinear_apply(x, lut) * r).mean()
 
-        ratios = check_gradients(loss, [x, lut.grid], h=1e-3,
-                                 rtol=1e-3, atol=1e-4)
-        assert max(ratios.values()) <= 1.0
+            ratios = check_gradients(loss, [x, lut.grid], h=1e-3,
+                                     rtol=1e-3, atol=1e-4)
+            assert max(ratios.values()) <= 1.0
+
+        check(identity_lut(5),
+              image(rng, (1, 3, 4, 4), lo=0.05, hi=0.95, requires_grad=True))
+        # a random lattice, whose output channels differ, on a batch of 2;
+        # pixels stay 5% of a cell away from the cell faces, where the
+        # interpolant has kinks that central differences straddle
+        grid = rng.uniform(0.0, 1.0, (5, 5, 5, 3)).astype(np.float32)
+        pos = rng.integers(0, 4, (2, 3, 4, 4)) + rng.uniform(0.05, 0.95, (2, 3, 4, 4))
+        check(Lut3D(grid), Tensor((pos / 4).astype(np.float32), requires_grad=True))
+
+    def test_matches_channels_last_reference_bit_for_bit(self, rng):
+        # reference: each corner's (B, H, W, 3) values gathered channels
+        # last, weighted and summed in the same corner order
+        m = 7
+        grid = rng.uniform(0.0, 1.0, (m, m, m, 3)).astype(np.float32)
+        x = rng.uniform(0.0, 1.0, (2, 3, 9, 5)).astype(np.float32)
+        x[0, :, 0, 0] = 0.0
+        x[0, :, 0, 1] = 1.0  # c_max: the top of the top cell
+        x[1, :, 2, 3] = np.float32(5.5 / 6)  # inside the top cell
+        x[1, 0, 4, 4], x[1, 1, 4, 4], x[1, 2, 4, 4] = 0.0, 1.0, 0.5
+        pos = np.clip(x.astype(np.float64) * (m - 1), 0.0, m - 1)
+        cell = np.minimum(pos.astype(np.int64), m - 2)
+        frac = (pos - cell).astype(np.float32)
+        flat = grid.reshape(-1, 3)
+        ref = None
+        for di in (0, 1):
+            wr = frac[:, 0] if di else 1.0 - frac[:, 0]
+            for dj in (0, 1):
+                wg = frac[:, 1] if dj else 1.0 - frac[:, 1]
+                for dk in (0, 1):
+                    wb = frac[:, 2] if dk else 1.0 - frac[:, 2]
+                    lin = ((cell[:, 0] + di) * m + cell[:, 1] + dj) * m \
+                        + cell[:, 2] + dk
+                    term = (wr * wg * wb)[..., None] * flat[lin]
+                    ref = term if ref is None else ref + term
+        out = trilinear_apply(Tensor(x), Lut3D(grid)).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.moveaxis(ref, 3, 1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000))

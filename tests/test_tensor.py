@@ -85,11 +85,33 @@ class TestMaxpool:
         assert out.data[0, 0, 0, 0] == 4.0
 
     def test_tie_gradient_goes_to_first_element(self):
-        x = Tensor(np.full((1, 1, 2, 2), 5.0, dtype=np.float32),
+        # row-major order: (0,0), (0,1), (1,0), (1,1)
+        for window, taker in (([[5.0, 5.0], [5.0, 5.0]], (0, 0)),
+                              ([[1.0, 5.0], [5.0, 2.0]], (0, 1)),
+                              ([[3.0, 1.0], [3.0, 3.0]], (0, 0)),
+                              ([[0.0, 1.0], [4.0, 4.0]], (1, 0)),
+                              ([[2.0, 1.0], [0.0, 3.0]], (1, 1))):
+            x = Tensor(np.array(window, dtype=np.float32).reshape(1, 1, 2, 2),
+                       requires_grad=True)
+            maxpool2d(x).sum().backward()
+            expected = np.zeros((2, 2), dtype=np.float32)
+            expected[taker] = 1.0
+            np.testing.assert_array_equal(x.grad[0, 0], expected)
+
+    def test_tie_on_replicated_edge(self):
+        # 3x3: the last row and column are replicated, so every edge window
+        # ties a pixel with its copy (the corner window is four copies of
+        # x[2, 2]); each window still passes its gradient back once
+        x = Tensor(np.array([[1.0, 0.0, 7.0],
+                             [0.0, 2.0, 1.0],
+                             [9.0, 3.0, 8.0]],
+                            dtype=np.float32).reshape(1, 1, 3, 3),
                    requires_grad=True)
-        maxpool2d(x).sum().backward()
+        out = maxpool2d(x)
+        np.testing.assert_array_equal(out.data[0, 0], [[2.0, 7.0], [9.0, 8.0]])
+        out.backward(np.array([[[[1.0, 2.0], [3.0, 4.0]]]], dtype=np.float32))
         np.testing.assert_array_equal(
-            x.grad[0, 0], np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.float32))
+            x.grad[0, 0], [[0.0, 0.0, 2.0], [0.0, 1.0, 0.0], [3.0, 0.0, 4.0]])
 
     def test_odd_size_replication(self):
         x = Tensor(np.arange(15, dtype=np.float32).reshape(1, 1, 3, 5))
