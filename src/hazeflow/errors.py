@@ -10,7 +10,8 @@ class ShapeError(HazeflowError):
 
 
 class GraphError(HazeflowError):
-    """Backward pass requested on a tensor outside any recorded computation."""
+    """Backward pass requested outside any recorded computation, or through
+    a graph an earlier backward pass already released."""
 
 
 class LatticeRangeError(HazeflowError):

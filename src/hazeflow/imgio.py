@@ -10,6 +10,7 @@ installed. Pixels are normalized to [0, 1] float32 on load, shaped
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import sys
@@ -100,35 +101,72 @@ def _write_png(path: str, rgb: np.ndarray) -> None:
                  + _png_chunk(b"IEND", b""))
 
 
+@functools.cache
+def _png_predictions() -> np.ndarray:
+    # every filter's prediction minus the upper-left byte c is a function
+    # of the filter type and the differences a - c, b - c alone (Average:
+    # (a + b) >> 1 = c + ((a - c + b - c) >> 1)); None is 0 minus c, left
+    # to the caller. Indexed [type, a - c + 255, b - c + 255], modulo 256.
+    x = np.arange(-255, 256)[:, None]  # a - c, a the left byte
+    y = np.arange(-255, 256)[None, :]  # b - c, b the upper byte
+    pa, pb, pc = np.abs(y), np.abs(x), np.abs(x + y)
+    paeth = np.where((pa <= pb) & (pa <= pc), x, np.where(pb <= pc, y, 0))
+    table = np.stack(np.broadcast_arrays(0, x, y, (x + y) >> 1, paeth))
+    table = (table & 0xFF).astype(np.uint8).reshape(-1)
+    table.flags.writeable = False  # one copy, shared by every decode
+    return table
+
+
 def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
-    """Undo the five PNG row filters; returns (height, stride) uint8."""
-    out = np.empty((height, stride), dtype=np.uint8)
-    prev = bytearray(bpp + stride)  # bpp zero bytes stand in for x < 0
-    for y in range(height):
-        start = y * (stride + 1)
-        ftype = raw[start]
-        cur = bytearray(bpp) + raw[start + 1:start + 1 + stride]
-        if ftype == 1:  # Sub: running sum along the row, per channel
-            line = np.frombuffer(cur, np.uint8, offset=bpp).reshape(-1, bpp)
-            cur[bpp:] = np.cumsum(line, axis=0, dtype=np.uint8).tobytes()
-        elif ftype == 2:  # Up
-            cur[bpp:] = (np.frombuffer(cur, np.uint8, offset=bpp)
-                         + np.frombuffer(prev, np.uint8, offset=bpp)).tobytes()
-        elif ftype in (3, 4):  # Average, Paeth: left-to-right dependency
-            for i in range(bpp, bpp + stride):
-                a, b, c = cur[i - bpp], prev[i], prev[i - bpp]
-                if ftype == 3:
-                    pred = (a + b) >> 1
-                else:
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    pred = a if pa <= pb and pa <= pc else b if pb <= pc else c
-                cur[i] = (cur[i] + pred) & 0xFF
-        elif ftype != 0:
-            raise DataError(f"bad PNG row filter type {ftype} in row {y}")
-        out[y] = np.frombuffer(cur, np.uint8, offset=bpp)
-        prev = cur
-    return out
+    """Undo the five PNG row filters; returns (height, stride) uint8.
+
+    Every filter predicts a byte from its left, upper and upper-left
+    neighbours only, so the pixels of one anti-diagonal (row + column
+    constant) are decoded together in one vectorised step. Rows go in
+    bands of at least width rows, each seeded with the row above it, so
+    the skewed copy of a band stays within about twice its pixels. An
+    image filtered None throughout, as hazeflow writes it, is its own
+    decoding.
+    """
+    rows = np.frombuffer(raw, np.uint8).reshape(height, stride + 1)
+    ftype = rows[:, 0]
+    if ftype.max() > 4:
+        y = int(np.argmax(ftype > 4))
+        raise DataError(f"bad PNG row filter type {ftype[y]} in row {y}")
+    if not ftype.any():
+        return rows[:, 1:]
+    w = stride // bpp
+    out = np.empty((height, w, bpp), dtype=np.uint8)
+    above = np.zeros((w, bpp), dtype=np.uint8)  # the row above the band
+    predictions = _png_predictions()
+    band = max(w, 32)  # narrow images: no set-up of a band per row or two
+    for top in range(0, height, band):
+        n = min(band, height - top)
+        # skewed: d[u, k] is pixel (top + k - 1, u - k - 1), filtered until
+        # its diagonal is decoded in place; column 0 holds the row above,
+        # the zeros never written the pixels left of the image
+        d = np.zeros((w + n + 1, n + 1, bpp), dtype=np.uint8)
+        d[1:w + 1, 0] = above
+        for k in range(1, n + 1):
+            d[k + 1:k + 1 + w, k] = rows[top + k - 1, 1:].reshape(w, bpp)
+        # per row, repeated over a pixel's bytes: the offset of its filter's
+        # predictions in the table, and whether they add c (all but None)
+        row_type = np.repeat(ftype[top:top + n, None].astype(np.int32), bpp, 1)
+        base = row_type * (511 * 511) + 255 * 512
+        keep = (row_type > 0).astype(np.uint8)
+        for s in range(1, n + w):
+            lo, hi = max(1, s - w + 1), min(n, s)  # rows k - 1, column s - k
+            up_left = d[s, lo - 1:hi + 1].astype(np.int32)
+            b, a = up_left[:-1], up_left[1:]
+            c8 = d[s - 1, lo - 1:hi]
+            c = c8.astype(np.int32)
+            cur = d[s + 1, lo:hi + 1]
+            cur += predictions.take(base[lo - 1:hi] + (a - c) * 511 + (b - c))
+            cur += c8 * keep[lo - 1:hi]
+        for k in range(1, n + 1):
+            out[top + k - 1] = d[k + 1:k + 1 + w, k]
+        above = out[top + n - 1]
+    return out.reshape(height, stride)
 
 
 def _read_png(path: str) -> np.ndarray:

@@ -108,14 +108,6 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
@@ -128,8 +120,13 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Run reverse-mode differentiation from this node.
 
+        Each interior node is released once its gradient has been passed
+        on: its grad, closure and parent links are dropped, so the step
+        holds only what is still ahead of the walk. Leaves keep `.grad`.
+
         Raises GraphError when the tensor was not produced by a recorded
-        computation, or when no seed gradient is given for a non-scalar.
+        computation, when no seed gradient is given for a non-scalar, or
+        when the graph reaches a node an earlier backward() released.
         """
         if self._op is None:
             raise GraphError(
@@ -155,6 +152,9 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._op is not None and node._backward is None:
+                raise GraphError("backward() through a graph already used by "
+                                 "an earlier backward()")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -162,9 +162,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._op is not None:
+                node.grad = node._backward = None
+                node._parents = ()
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -187,12 +191,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        out = Tensor._result(-self.data, (self,), "neg")
-        if out._op:
-            out._backward = lambda g, a=self: a._accumulate(-g)
-        return out
-
     def __sub__(self, other):
         other = self._coerce(other)
         out = Tensor._result(self.data - other.data, (self, other), "sub")
@@ -204,9 +202,6 @@ class Tensor:
                     b._accumulate(_unbroadcast(-g, b.data.shape))
             out._backward = _bwd
         return out
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -233,9 +228,6 @@ class Tensor:
                     b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
             out._backward = _bwd
         return out
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
 
     # -- elementwise nonlinearities ------------------------------------------
 
@@ -342,7 +334,7 @@ def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
+           padding: int = 0) -> Tensor:
     """2d cross-correlation. Kernels are 1x1 or 3x3, stride 1 in this project.
 
     The input gradient is the transposed convolution: the output gradient,
@@ -359,10 +351,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if c_k != c_in:
         raise ShapeError(
             f"kernel expects {c_k} input channels, input has {c_in}")
-    if stride != 1:
-        raise ShapeError("only stride 1 is supported")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x.data, pad)
     hp, wp = xp.shape[2], xp.shape[3]
     if hp < kh or wp < kw:
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
@@ -376,11 +367,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if out._op:
         def _bwd(g, a=x, wt=weight, bt=bias):
             if wt.requires_grad or wt._op:
-                # the same strips as the forward: the graph keeps xp, not
-                # the columns
+                # the same strips as the forward, from the input padded
+                # again: the graph keeps neither the columns nor a padded
+                # copy of the input
                 g2, wo = g.reshape(b, c_out, -1), g.shape[3]
                 gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
-                for r0, r1, cols in _column_blocks(xp, kh, kw):
+                for r0, r1, cols in _column_blocks(np.pad(a.data, pad), kh, kw):
                     gs = g2[:, :, r0 * wo:r1 * wo]
                     gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
                 wt._accumulate(gw.reshape(wt.data.shape))
@@ -401,14 +393,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
+def maxpool2d(x: Tensor) -> Tensor:
     """2x2/stride-2 max pooling.
 
     Odd spatial sizes are replication-padded to even first; gradient goes
     to the first maximal element of each window in row-major order.
     """
-    if window != 2 or stride != 2:
-        raise ShapeError("only window=2, stride=2 pooling is supported")
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects a rank-4 input, got shape {x.shape}")
     h, w = x.data.shape[2:]
@@ -497,12 +487,14 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     var = x.data.var(axis=(2, 3), keepdims=True, mean=mu)
     inv = 1.0 / np.sqrt(var + eps)
     inv = inv.astype(x.data.dtype, copy=False)
-    y = (x.data - mu) * inv
-    out_data = y * gain.data.reshape(1, c, 1, 1) + bias.data.reshape(1, c, 1, 1)
+    out_data = ((x.data - mu) * inv * gain.data.reshape(1, c, 1, 1)
+                + bias.data.reshape(1, c, 1, 1))
 
     out = Tensor._result(out_data.astype(x.data.dtype, copy=False), (x, gain, bias), "instance_norm")
     if out._op:
-        def _bwd(g, a=x, gn=gain, bs=bias, yv=y, invv=inv):
+        def _bwd(g, a=x, gn=gain, bs=bias):
+            # the normalised input again, from the (B, C, 1, 1) statistics
+            yv = (a.data - mu) * inv
             if gn.requires_grad or gn._op:
                 gn._accumulate((g * yv).sum(axis=(0, 2, 3)))
             if bs.requires_grad or bs._op:
@@ -511,7 +503,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
                 gy = g * gn.data.reshape(1, c, 1, 1)
                 m1 = gy.mean(axis=(2, 3), keepdims=True)
                 m2 = (gy * yv).mean(axis=(2, 3), keepdims=True)
-                a._accumulate(invv * (gy - m1 - yv * m2))
+                a._accumulate(inv * (gy - m1 - yv * m2))
         out._backward = _bwd
     return out
 

@@ -2,6 +2,7 @@
 
 import struct
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazeflow.errors import DataError
-from hazeflow.imgio import load_image, save_image
+from hazeflow.imgio import _png_unfilter, load_image, save_image
 
 
 def random_image(rng, h=9, w=7):
@@ -186,6 +187,61 @@ class TestPngFilters:
         expected = _as_image([[[10, 20, 30], [40, 50, 60]],
                               [[1, 2, 3], [200, 201, 202]]])
         np.testing.assert_array_equal(img, expected)
+
+
+def _unfilter_per_byte(raw, height, stride, bpp):
+    # the PNG specification's reconstruction, one byte at a time: a = left,
+    # b = up, c = up-left, each 0 outside the image
+    out = bytearray(height * stride)
+    for y in range(height):
+        ftype = raw[y * (stride + 1)]
+        for i in range(stride):
+            a = out[y * stride + i - bpp] if i >= bpp else 0
+            b = out[(y - 1) * stride + i] if y else 0
+            c = out[(y - 1) * stride + i - bpp] if y and i >= bpp else 0
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            paeth = a if pa <= pb and pa <= pc else b if pb <= pc else c
+            pred = (0, a, b, (a + b) >> 1, paeth)[ftype]
+            out[y * stride + i] = (raw[y * (stride + 1) + 1 + i] + pred) & 0xFF
+    return np.frombuffer(bytes(out), np.uint8).reshape(height, stride)
+
+
+@pytest.mark.parametrize("bpp", [1, 2, 3, 4])
+@pytest.mark.parametrize("height,width", [(9, 7), (5, 23), (31, 4), (70, 3)])
+@pytest.mark.parametrize("ends", ["inside", "at-edges"])
+def test_random_mixed_filters_match_per_byte_reference(bpp, height, width, ends):
+    # random filtered bytes under a random mix of all five filters, with
+    # Average and Paeth rows inside the image or also on its first and
+    # last rows
+    rng = np.random.default_rng(100 * bpp + height + (ends == "inside"))
+    stride = width * bpp
+    rows = rng.integers(0, 256, (height, stride + 1), dtype=np.uint8)
+    rows[:, 0] = rng.integers(0, 5, height)
+    rows[[1, height // 2], 0] = (3, 4)
+    rows[[0, -1], 0] = (1, 2) if ends == "inside" else (4, 3)
+    raw = rows.tobytes()
+    np.testing.assert_array_equal(_png_unfilter(raw, height, stride, bpp),
+                                  _unfilter_per_byte(raw, height, stride, bpp))
+
+
+def test_tall_narrow_image_decodes_in_memory_linear_in_its_size():
+    # a decoder that skews the whole image at once holds (W + H) * H
+    # pixels, 75 MB here; in bands the peak is 28 kB, near the 15 kB output
+    height, stride, bpp = 5000, 3, 3
+    rows = np.random.default_rng(5).integers(0, 256, (height, stride + 1),
+                                             dtype=np.uint8)
+    rows[:, 0] = 4
+    raw = rows.tobytes()
+    _png_unfilter(raw[:2 * (stride + 1)], 2, stride, bpp)  # builds the table
+    tracemalloc.start()
+    try:
+        out = _png_unfilter(raw, height, stride, bpp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * height * stride
+    np.testing.assert_array_equal(out, _unfilter_per_byte(raw, height, stride, bpp))
 
 
 def _valid_png(tmp_path):

@@ -209,6 +209,23 @@ class TestBackward:
         y.sum().backward()
         assert x.grad[0] == pytest.approx(7.0)  # 2x + 3
 
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        with pytest.raises(GraphError, match="earlier backward"):
+            loss.backward()
+        assert x.grad[0] == pytest.approx(6.0)
+
+    def test_released_shared_node_raises_before_any_gradient(self):
+        # the new root also reaches x directly: nothing may land on x.grad
+        x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
+        h = x * x
+        h.sum().backward()
+        with pytest.raises(GraphError, match="earlier backward"):
+            (h * 2.0 + x).sum().backward()
+        assert x.grad[0] == pytest.approx(6.0)
+
     def test_no_grad_suppresses_graph(self, rng):
         x = tensor(rng, (1, 2, 3, 3))
         with no_grad():
