@@ -13,9 +13,8 @@ from .lut import (Lut3D, export_cube, fixed_contrast_saturation_lut,
                   identity_lut, lattice_coords, trilinear_apply)
 from .metrics import MetricReport, evaluate_pairs, psnr, ssim
 from .purifier import PurifierNet, cnn_forward, purify
-from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu, grad_enabled,
-                     instance_norm, maxpool2d, no_grad, spatial_attention,
-                     upsample_bilinear2x)
+from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu, instance_norm,
+                     maxpool2d, no_grad, spatial_attention, upsample_bilinear2x)
 from .tiling import TilePlan, blend_weight_maps, dehaze, tile_spans
 from .training import (AdamW, OptState, ReduceLROnPlateau, TrainConfig,
                        TrainResult, l1_loss, make_toy_dataset,
@@ -30,8 +29,8 @@ __all__ = [
     "ReduceLROnPlateau", "SOLVERS", "ShapeError", "Tensor", "TilePlan",
     "TrainConfig", "TrainResult", "blend_weight_maps", "cnn_forward",
     "concat_channels", "conv2d", "crop2d", "dehaze", "evaluate_pairs",
-    "export_cube", "fixed_contrast_saturation_lut", "gelu", "grad_enabled",
-    "identity_lut", "instance_norm", "integrate", "integrate_field", "l1_loss",
+    "export_cube", "fixed_contrast_saturation_lut", "gelu", "identity_lut",
+    "instance_norm", "integrate", "integrate_field", "l1_loss",
     "lattice_coords", "make_toy_dataset", "maxpool2d", "no_grad",
     "plateau_schedule", "psnr", "purify", "solver_step", "spatial_attention",
     "ssim", "synth_haze", "tile_spans", "train_loop", "trilinear_apply",

@@ -22,7 +22,6 @@ from .training import TrainConfig, make_toy_dataset, train_loop
 SUITES = ("lut", "lambda", "solver")
 LUT_SETTINGS = ("removed", "fixed", "learnable")
 LAMBDA_SETTINGS = (0.1, 0.5, 1.0)
-SOLVER_SETTINGS = SOLVERS
 
 
 @dataclass
@@ -66,15 +65,14 @@ def _evaluate(net, lut, flow_cfg, hazy, clean):
 
 
 def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
-             solver: str, lut: Optional[Lut3D], train_lut: bool) -> AblationRow:
+             solver: str, lut: Optional[Lut3D]) -> AblationRow:
     hazy, clean = make_toy_dataset(acfg.n_pairs, acfg.size, acfg.seed)
     cfg = TrainConfig(lr=acfg.lr, batch_size=acfg.batch_size,
                       epochs=acfg.epochs, seed=acfg.seed)
     flow_cfg = FlowConfig(solver=solver, steps=acfg.steps, lam=lam)
     before = None if lut is None else grid_checksum(lut)
     result = train_loop((hazy, clean), cfg, flow_cfg, lut=lut,
-                        width=acfg.width, lut_size=acfg.lut_size,
-                        train_lut=train_lut)
+                        width=acfg.width, lut_size=acfg.lut_size)
     result.restore_best()
     after = None if result.lut is None else grid_checksum(result.lut)
     mean_psnr, mean_ssim = _evaluate(result.net, result.lut, flow_cfg,
@@ -86,8 +84,7 @@ def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
 
 def run_suite(suite: str, acfg: Optional[AblationConfig] = None,
               lut_settings: Sequence[str] = LUT_SETTINGS,
-              lambdas: Sequence[float] = LAMBDA_SETTINGS,
-              solvers: Sequence[str] = SOLVER_SETTINGS) -> list[AblationRow]:
+              lambdas: Sequence[float] = LAMBDA_SETTINGS) -> list[AblationRow]:
     """Run one ablation suite; rows share data, seed, and base config."""
     if suite not in SUITES:
         raise ValueError(f"unknown ablation suite {suite!r}, expected one of {SUITES}")
@@ -97,30 +94,27 @@ def run_suite(suite: str, acfg: Optional[AblationConfig] = None,
         for setting in lut_settings:
             if setting == "removed":
                 rows.append(_run_one(acfg, suite, "removed", lam=0.0,
-                                     solver=acfg.solver, lut=None,
-                                     train_lut=False))
+                                     solver=acfg.solver, lut=None))
             elif setting == "fixed":
                 lut = fixed_contrast_saturation_lut(acfg.lut_size)
                 rows.append(_run_one(acfg, suite, "fixed", lam=acfg.lam,
-                                     solver=acfg.solver, lut=lut,
-                                     train_lut=False))
+                                     solver=acfg.solver, lut=lut))
             elif setting == "learnable":
                 lut = identity_lut(acfg.lut_size)
                 rows.append(_run_one(acfg, suite, "learnable", lam=acfg.lam,
-                                     solver=acfg.solver, lut=lut,
-                                     train_lut=True))
+                                     solver=acfg.solver, lut=lut))
             else:
                 raise ValueError(f"unknown LUT setting {setting!r}")
     elif suite == "lambda":
         for lam in lambdas:
             lut = identity_lut(acfg.lut_size) if lam > 0 else None
             rows.append(_run_one(acfg, suite, f"{lam:g}", lam=float(lam),
-                                 solver=acfg.solver, lut=lut, train_lut=True))
+                                 solver=acfg.solver, lut=lut))
     else:
-        for solver in solvers:
+        for solver in SOLVERS:
             lut = identity_lut(acfg.lut_size)
             rows.append(_run_one(acfg, suite, solver, lam=acfg.lam,
-                                 solver=solver, lut=lut, train_lut=True))
+                                 solver=solver, lut=lut))
     return rows
 
 

@@ -11,6 +11,7 @@ interrupted save leaves the previous checkpoint intact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -18,10 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, ShapeError
 from .flow import FlowConfig
 from .lut import Lut3D
-from .purifier import PurifierNet
+from .purifier import PurifierNet, param_shapes
 from .tensor import Tensor
 from .training import AdamW, OptState
 
@@ -90,15 +91,53 @@ def save_checkpoint(path: str, net: PurifierNet, lut: Optional[Lut3D],
             os.remove(tmp)
 
 
+def _field(header: dict, key: str, kind: type, path: str):
+    # the header value at a dotted key, of exactly this kind (JSON true is
+    # no number); a float may be written as an integer and must be finite
+    value = header
+    for part in key.split("."):
+        value = value.get(part) if isinstance(value, dict) else None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise DataError(f"{path}: corrupt checkpoint header ({key} is {value!r:.40})")
+    return value
+
+
+def _read_tensors(fh, entries, path: str) -> dict:
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: corrupt checkpoint header (tensors is not a list)")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    tensors = {}
+    for entry in entries:
+        name = _field(entry, "name", str, path)
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in shape):
+            raise DataError(f"{path}: corrupt checkpoint header "
+                            f"(shape of {name} is {shape!r:.40})")
+        # checked against the file before reading, so a forged size
+        # allocates nothing
+        size = 4 * math.prod(shape)
+        if size > left:
+            raise DataError(f"{path}: truncated tensor payload")
+        left -= size
+        tensors[name] = np.frombuffer(
+            fh.read(size), dtype="<f4").astype(np.float32).reshape(shape)
+    return tensors
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed content is a DataError."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise DataError(f"{path}: not a hazeflow checkpoint")
         try:
             (hlen,) = struct.unpack("<I", fh.read(4))
+            if hlen > os.fstat(fh.fileno()).st_size - 8:
+                raise ValueError("header longer than the file")
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (struct.error, ValueError, RecursionError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header") from exc
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != FORMAT_VERSION:
@@ -109,31 +148,32 @@ def load_checkpoint(path: str) -> Checkpoint:
         if missing:
             raise DataError(f"{path}: corrupt checkpoint header "
                             f"(missing {', '.join(missing)})")
+        tensors = _read_tensors(fh, header["tensors"], path)
 
-        tensors = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(4 * count)
-            if len(raw) != 4 * count:
-                raise DataError(f"{path}: truncated tensor payload")
-            tensors[entry["name"]] = np.frombuffer(
-                raw, dtype="<f4").astype(np.float32).reshape(shape)
+    # the layer plan is checked before the net is built, so a forged width
+    # allocates nothing either
+    width = _field(header, "net.width", int, path)
+    state = {name[4:]: arr for name, arr in tensors.items() if name.startswith("net.")}
+    if width < 1 or {n: a.shape for n, a in state.items()} != param_shapes(width):
+        raise DataError(f"{path}: corrupt checkpoint header "
+                        f"(net tensors do not fit width {width})")
+    net = PurifierNet(width=width)
+    net.load_state(state)
 
-    net = PurifierNet(width=int(header["net"]["width"]))
-    net.load_state({name[4:]: arr for name, arr in tensors.items()
-                    if name.startswith("net.")})
-
-    lut = None
-    if header["lut"] is not None:
-        lut = Lut3D(Tensor(tensors["lut.grid"],
-                           requires_grad=bool(header["lut"]["trainable"])),
-                    c_max=float(header["lut"]["c_max"]))
-
-    fl = header["flow"]
-    flow_cfg = FlowConfig(solver=fl["solver"], steps=int(fl["steps"]),
-                          t0=float(fl["t0"]), t1=float(fl["t1"]),
-                          lam=float(fl["lam"]))
+    try:
+        lut = None
+        if header["lut"] is not None:
+            c_max = _field(header, "lut.c_max", float, path)
+            trainable = _field(header, "lut.trainable", bool, path)
+            if "lut.grid" not in tensors or c_max <= 0:
+                raise DataError(f"{path}: corrupt checkpoint header (lut)")
+            lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable), c_max=c_max)
+        flow_cfg = FlowConfig(
+            solver=_field(header, "flow.solver", str, path),
+            steps=_field(header, "flow.steps", int, path),
+            **{k: _field(header, f"flow.{k}", float, path) for k in ("t0", "t1", "lam")})
+    except (ShapeError, ConfigError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint header ({exc})") from exc
 
     opt_state = None
     if header["optimizer"] is not None:
@@ -142,7 +182,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                if name.startswith("opt.m.")},
             v={name[6:]: arr for name, arr in tensors.items()
                if name.startswith("opt.v.")},
-            step_count=int(header["optimizer"]["step_count"]))
+            step_count=_field(header, "optimizer.step_count", int, path))
 
     return Checkpoint(net=net, lut=lut, flow=flow_cfg, opt_state=opt_state,
                       metadata=header.get("metadata", {}))

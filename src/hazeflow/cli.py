@@ -287,17 +287,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_config_flags(path: str) -> list[str]:
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: config file is not UTF-8 text") from exc
     flags = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise DataError(f"{path}:{lineno}: expected key=value")
-            key, value = key.strip(), value.strip()
-            flags.extend(["--" + key.replace("_", "-"), value])
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise DataError(f"{path}:{lineno}: expected key=value")
+        key, value = key.strip(), value.strip()
+        flags.extend(["--" + key.replace("_", "-"), value])
     return flags
 
 

@@ -47,7 +47,7 @@ class FlowConfig:
             raise ConfigError("steps must be >= 1")
         if self.t1 <= self.t0:
             raise ConfigError("time range must satisfy t1 > t0")
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN fails this too
             raise ConfigError("lambda must be non-negative")
 
     @property

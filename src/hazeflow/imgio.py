@@ -56,13 +56,14 @@ def _read_ppm(path: str) -> np.ndarray:
         raise DataError(f"{path}: malformed PPM header") from exc
     if maxval <= 0 or maxval >= 65536:
         raise DataError(f"{path}: unsupported maxval {maxval}")
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: PPM size {width}x{height} has no pixels")
 
-    dtype = np.dtype(">u2") if maxval > 255 else np.uint8
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
     count = width * height * 3
-    try:
-        raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    except ValueError as exc:
-        raise DataError(f"{path}: truncated pixel data") from exc
+    if count * dtype.itemsize > len(data) - pos:
+        raise DataError(f"{path}: truncated pixel data")
+    raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
     img = raw.reshape(height, width, 3).astype(np.float32) / maxval
     return img
 

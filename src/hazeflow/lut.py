@@ -43,14 +43,6 @@ class Lut3D:
     def m(self) -> int:
         return self.grid.data.shape[0]
 
-    @property
-    def grid_spacing(self) -> float:
-        return self.c_max / (self.m - 1)
-
-    def copy(self) -> "Lut3D":
-        return Lut3D(self.grid.data.copy(), self.c_max,
-                     requires_grad=self.grid.requires_grad)
-
 
 def identity_lut(m: int = 33, c_max: float = 1.0, dtype=np.float32,
                  requires_grad: bool = True) -> Lut3D:
@@ -157,34 +149,31 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
         else:
             acc += np.multiply(vals, w, out=vals)
 
-    result = Tensor._result(out_data.astype(data.dtype, copy=False),
-                            (x, grid), "trilinear_apply")
-    if result._op:
-        def _bwd(g, a=x, gr=grid):
-            lo_hi = _axis_weights(frac)
-            if gr.requires_grad or gr._op:
-                # one float64 bincount per colour channel over all 8 corners
-                lins = np.concatenate([(base + off).ravel() for off in offsets])
-                ws = np.stack([lo_hi[0][di] * lo_hi[1][dj] * lo_hi[2][dk]
-                               for di, dj, dk in _CORNERS])  # (8, B, H, W)
-                gg = np.stack([np.bincount(lins, (ws * g[:, ch]).ravel(), m ** 3)
-                               for ch in range(3)], axis=-1)
-                gr._accumulate(gg.astype(gr.data.dtype).reshape(gr.data.shape))
-            if a.requires_grad or a._op:
-                # a corner's weight has partial +-wg*wb in r (likewise g, b);
-                # each weighs the corner's value dotted with the output grad
-                gc = g.transpose(1, 0, 2, 3)
-                gx = np.zeros(g.shape, dtype=np.float64)
-                gxc = gx.transpose(1, 0, 2, 3)  # (3, B, H, W) view
-                for (di, dj, dk), off in zip(_CORNERS, offsets):
-                    s = (np.take(table, base + off, axis=1, mode="clip") * gc).sum(axis=0)
-                    wr, wg, wb = lo_hi[0][di], lo_hi[1][dj], lo_hi[2][dk]
-                    gxc[0] += _SIGN[di] * wg * wb * s
-                    gxc[1] += wr * _SIGN[dj] * wb * s
-                    gxc[2] += wr * wg * _SIGN[dk] * s
-                a._accumulate((gx * scale).astype(a.data.dtype, copy=False))
-        result._backward = _bwd
-    return result
+    def _bwd(g, a=x, gr=grid):
+        lo_hi = _axis_weights(frac)
+        if gr.requires_grad:
+            # one float64 bincount per colour channel over all 8 corners
+            lins = np.concatenate([(base + off).ravel() for off in offsets])
+            ws = np.stack([lo_hi[0][di] * lo_hi[1][dj] * lo_hi[2][dk]
+                           for di, dj, dk in _CORNERS])  # (8, B, H, W)
+            gg = np.stack([np.bincount(lins, (ws * g[:, ch]).ravel(), m ** 3)
+                           for ch in range(3)], axis=-1)
+            gr._accumulate(gg.astype(gr.data.dtype).reshape(gr.data.shape))
+        if a.requires_grad:
+            # a corner's weight has partial +-wg*wb in r (likewise g, b);
+            # each weighs the corner's value dotted with the output grad
+            gc = g.transpose(1, 0, 2, 3)
+            gx = np.zeros(g.shape, dtype=np.float64)
+            gxc = gx.transpose(1, 0, 2, 3)  # (3, B, H, W) view
+            for (di, dj, dk), off in zip(_CORNERS, offsets):
+                s = (np.take(table, base + off, axis=1, mode="clip") * gc).sum(axis=0)
+                wr, wg, wb = lo_hi[0][di], lo_hi[1][dj], lo_hi[2][dk]
+                gxc[0] += _SIGN[di] * wg * wb * s
+                gxc[1] += wr * _SIGN[dj] * wb * s
+                gxc[2] += wr * wg * _SIGN[dk] * s
+            a._accumulate((gx * scale).astype(a.data.dtype, copy=False))
+    return Tensor._result(out_data.astype(data.dtype, copy=False), (x, grid),
+                          "trilinear_apply", _bwd)
 
 
 def export_cube(lut: Lut3D, path) -> None:

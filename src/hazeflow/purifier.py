@@ -18,10 +18,21 @@ from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu,
 N_STAGES = 3
 
 
-def _conv_init(rng: np.random.Generator, c_out: int, c_in: int, k: int, dtype):
-    fan_in = c_in * k * k
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=(c_out, c_in, k, k)).astype(dtype)
+def param_shapes(width: int) -> dict[str, tuple]:
+    """Parameter name -> shape of a purifier of this width, in creation order."""
+    w = width
+    # (conv, input channels, output channels); decoder stage d concatenates
+    # the input of encoder stage (4 - d)
+    convs = [("enc1", 3, w), ("enc2", w, 2 * w), ("enc3", 2 * w, 4 * w),
+             ("attn", 4 * w, 1), ("dec1", 4 * w + 2 * w, 2 * w),
+             ("dec2", 2 * w + w, w), ("dec3", w + 3, w), ("head", w, 3)]
+    shapes = {}
+    for name, c_in, c_out in convs:
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (c_out, c_in, 3, 3), (c_out,)
+        if name[:3] in ("enc", "dec"):  # instance-norm affine
+            shapes[f"{name}.gain"] = shapes[f"{name}.bias"] = (c_out,)
+    shapes["b"] = ()
+    return shapes
 
 
 class PurifierNet:
@@ -39,31 +50,16 @@ class PurifierNet:
         self.width = int(width)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)
-        w = self.width
-        enc_channels = [(3, w), (w, 2 * w), (2 * w, 4 * w)]
-        # decoder stage d concatenates the input of encoder stage (4 - d)
-        dec_channels = [(4 * w + 2 * w, 2 * w), (2 * w + w, w), (w + 3, w)]
-
         self.params: dict[str, Tensor] = {}
-
-        def add(name, array):
-            self.params[name] = Tensor(array, requires_grad=True, dtype=dtype)
-
-        for i, (cin, cout) in enumerate(enc_channels, start=1):
-            add(f"enc{i}.w", _conv_init(rng, cout, cin, 3, dtype))
-            add(f"enc{i}.b", np.zeros(cout, dtype=dtype))
-            add(f"enc{i}.gain", np.ones(cout, dtype=dtype))
-            add(f"enc{i}.bias", np.zeros(cout, dtype=dtype))
-        add("attn.w", _conv_init(rng, 1, 4 * w, 3, dtype))
-        add("attn.b", np.zeros(1, dtype=dtype))
-        for i, (cin, cout) in enumerate(dec_channels, start=1):
-            add(f"dec{i}.w", _conv_init(rng, cout, cin, 3, dtype))
-            add(f"dec{i}.b", np.zeros(cout, dtype=dtype))
-            add(f"dec{i}.gain", np.ones(cout, dtype=dtype))
-            add(f"dec{i}.bias", np.zeros(cout, dtype=dtype))
-        add("head.w", _conv_init(rng, 3, w, 3, dtype))
-        add("head.b", np.zeros(3, dtype=dtype))
-        add("b", np.asarray(1.0, dtype=dtype))
+        for name, shape in param_shapes(self.width).items():
+            if len(shape) == 4:  # He-normal conv kernel
+                _, c_in, kh, kw = shape
+                array = rng.normal(0.0, np.sqrt(2.0 / (c_in * kh * kw)), size=shape)
+            elif name == "b" or name.endswith(".gain"):
+                array = np.ones(shape)
+            else:
+                array = np.zeros(shape)
+            self.params[name] = Tensor(array.astype(dtype), requires_grad=True, dtype=dtype)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -88,10 +84,6 @@ class PurifierNet:
                 raise ShapeError(
                     f"parameter {name}: expected shape {p.data.shape}, got {arr.shape}")
             p.data = arr.copy()
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
 
 
 def cnn_forward(x: Tensor, net: PurifierNet) -> Tensor:

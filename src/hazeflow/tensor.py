@@ -9,6 +9,7 @@ instance normalization, and a sigmoid-gated spatial attention.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -35,10 +36,6 @@ class no_grad:
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def _as_array(data: ArrayLike, dtype=None) -> np.ndarray:
@@ -78,20 +75,21 @@ class Tensor:
     # -- construction of graph nodes -------------------------------------
 
     @staticmethod
-    def _result(data: np.ndarray, parents: Iterable["Tensor"], op: str) -> "Tensor":
+    def _result(data: np.ndarray, parents: Iterable["Tensor"], op: str,
+                backward: Callable[[np.ndarray], None]) -> "Tensor":
+        # the one recording rule: the result joins the graph, keeping its
+        # parents and `backward`, iff gradients are enabled and a parent
+        # requires grad; a recorded node requires grad itself
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out._backward = None
-        out._op = None
         parents = tuple(parents)
         if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._op = op
+            out.requires_grad, out._parents = True, parents
+            out._backward, out._op = backward, op
         else:
-            out.requires_grad = False
-            out._parents = ()
+            out.requires_grad, out._parents = False, ()
+            out._backward = out._op = None
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -177,101 +175,72 @@ class Tensor:
             return other
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
-    def __add__(self, other):
+    def _binary(self, other, op: str, fwd, grad_a, grad_b):
+        # grad_a / grad_b map (g, a, b) to each operand's gradient before
+        # it is summed down to the operand's shape
         other = self._coerce(other)
-        out = Tensor._result(self.data + other.data, (self, other), "add")
-        if out._op:
-            def _bwd(g, a=self, b=other):
-                if a.requires_grad or a._op:
-                    a._accumulate(_unbroadcast(g, a.data.shape))
-                if b.requires_grad or b._op:
-                    b._accumulate(_unbroadcast(g, b.data.shape))
-            out._backward = _bwd
-        return out
+
+        def _bwd(g, a=self, b=other):
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
+            if b.requires_grad:
+                b._accumulate(_unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+        return Tensor._result(fwd(self.data, other.data), (self, other), op, _bwd)
+
+    def __add__(self, other):
+        return self._binary(other, "add", operator.add,
+                            lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = Tensor._result(self.data - other.data, (self, other), "sub")
-        if out._op:
-            def _bwd(g, a=self, b=other):
-                if a.requires_grad or a._op:
-                    a._accumulate(_unbroadcast(g, a.data.shape))
-                if b.requires_grad or b._op:
-                    b._accumulate(_unbroadcast(-g, b.data.shape))
-            out._backward = _bwd
-        return out
+        return self._binary(other, "sub", operator.sub,
+                            lambda g, a, b: g, lambda g, a, b: -g)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        out = Tensor._result(self.data * other.data, (self, other), "mul")
-        if out._op:
-            def _bwd(g, a=self, b=other):
-                if a.requires_grad or a._op:
-                    a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-                if b.requires_grad or b._op:
-                    b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-            out._backward = _bwd
-        return out
+        return self._binary(other, "mul", operator.mul,
+                            lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        out = Tensor._result(self.data / other.data, (self, other), "div")
-        if out._op:
-            def _bwd(g, a=self, b=other):
-                if a.requires_grad or a._op:
-                    a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-                if b.requires_grad or b._op:
-                    b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-            out._backward = _bwd
-        return out
+        return self._binary(other, "div", operator.truediv,
+                            lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b))
 
     # -- elementwise nonlinearities ------------------------------------------
 
     def abs(self):
-        out = Tensor._result(np.abs(self.data), (self,), "abs")
-        if out._op:
-            out._backward = lambda g, a=self: a._accumulate(g * np.sign(a.data))
-        return out
+        return Tensor._result(np.abs(self.data), (self,), "abs",
+                              lambda g: self._accumulate(g * np.sign(self.data)))
 
     def clamp(self, lo: float, hi: float):
-        out = Tensor._result(np.clip(self.data, lo, hi), (self,), "clamp")
-        if out._op:
-            def _bwd(g, a=self):
-                inside = (a.data >= lo) & (a.data <= hi)
-                a._accumulate(g * inside.astype(a.data.dtype))
-            out._backward = _bwd
-        return out
+        def _bwd(g, a=self):
+            inside = (a.data >= lo) & (a.data <= hi)
+            a._accumulate(g * inside.astype(a.data.dtype))
+        return Tensor._result(np.clip(self.data, lo, hi), (self,), "clamp", _bwd)
 
     def sigmoid(self):
         x = self.data
         s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         s = s.astype(x.dtype, copy=False)
-        out = Tensor._result(s, (self,), "sigmoid")
-        if out._op:
-            out._backward = lambda g, a=self, sv=s: a._accumulate(g * sv * (1.0 - sv))
-        return out
+        return Tensor._result(s, (self,), "sigmoid",
+                              lambda g: self._accumulate(g * s * (1.0 - s)))
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self):
-        out = Tensor._result(np.asarray(self.data.sum(), dtype=self.data.dtype), (self,), "sum")
-        if out._op:
-            out._backward = lambda g, a=self: a._accumulate(
-                np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=False))
-        return out
+        d = self.data
+        return Tensor._result(np.asarray(d.sum(), dtype=d.dtype), (self,), "sum",
+                              lambda g: self._accumulate(np.broadcast_to(
+                                  g, d.shape).astype(d.dtype, copy=False)))
 
     def mean(self):
-        out = Tensor._result(np.asarray(self.data.mean(), dtype=self.data.dtype), (self,), "mean")
-        if out._op:
-            n = self.data.size
-            out._backward = lambda g, a=self: a._accumulate(
-                np.broadcast_to(g / n, a.data.shape).astype(a.data.dtype, copy=False))
-        return out
+        d = self.data
+        return Tensor._result(np.asarray(d.mean(), dtype=d.dtype), (self,), "mean",
+                              lambda g: self._accumulate(np.broadcast_to(
+                                  g / d.size, d.shape).astype(d.dtype, copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +256,11 @@ def gelu(x: Tensor) -> Tensor:
     """
     d = x.data
     cdf = (0.5 * erfc(-d * _INV_SQRT2)).astype(d.dtype, copy=False)
-    out = Tensor._result(d * cdf, (x,), "gelu")
-    if out._op:
-        def _bwd(g, a=x, cdfv=cdf):
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-            a._accumulate(g * (cdfv + a.data * pdf.astype(a.data.dtype, copy=False)))
-        out._backward = _bwd
-    return out
+
+    def _bwd(g, a=x):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
+        a._accumulate(g * (cdf + a.data * pdf.astype(a.data.dtype, copy=False)))
+    return Tensor._result(d * cdf, (x,), "gelu", _bwd)
 
 
 # Element budget of one strip's column buffer: 1 MB of float32, so a
@@ -362,31 +329,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
 
+    def _bwd(g, a=x, wt=weight, bt=bias):
+        if wt.requires_grad:
+            # the same strips as the forward, from the input padded again:
+            # the graph keeps neither the columns nor a padded copy of the input
+            g2, wo = g.reshape(b, c_out, -1), g.shape[3]
+            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
+            for r0, r1, cols in _column_blocks(np.pad(a.data, pad), kh, kw):
+                gs = g2[:, :, r0 * wo:r1 * wo]
+                gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
+            wt._accumulate(gw.reshape(wt.data.shape))
+        if bt is not None and bt.requires_grad:
+            bt._accumulate(g.sum(axis=(0, 2, 3)))
+        if a.requires_grad:
+            ch, cw = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
+            gp = np.pad(g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw],
+                        ((0, 0), (0, 0), (kh - 1 - padding + ch,) * 2,
+                         (kw - 1 - padding + cw,) * 2))
+            a._accumulate(_correlate(
+                gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor._result(out_data, parents, "conv2d")
-    if out._op:
-        def _bwd(g, a=x, wt=weight, bt=bias):
-            if wt.requires_grad or wt._op:
-                # the same strips as the forward, from the input padded
-                # again: the graph keeps neither the columns nor a padded
-                # copy of the input
-                g2, wo = g.reshape(b, c_out, -1), g.shape[3]
-                gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
-                for r0, r1, cols in _column_blocks(np.pad(a.data, pad), kh, kw):
-                    gs = g2[:, :, r0 * wo:r1 * wo]
-                    gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
-                wt._accumulate(gw.reshape(wt.data.shape))
-            if bt is not None and (bt.requires_grad or bt._op):
-                bt._accumulate(g.sum(axis=(0, 2, 3)))
-            if a.requires_grad or a._op:
-                ch, cw = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
-                gp = np.pad(g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw],
-                            ((0, 0), (0, 0), (kh - 1 - padding + ch,) * 2,
-                             (kw - 1 - padding + cw,) * 2))
-                a._accumulate(_correlate(
-                    gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
-        out._backward = _bwd
-    return out
+    return Tensor._result(out_data, parents, "conv2d", _bwd)
 
 
 # the positions of a 2x2 pooling window, in row-major (tie-breaking) order
@@ -410,23 +374,20 @@ def maxpool2d(x: Tensor) -> Tensor:
     np.maximum(out_data, quads[2], out=out_data)
     np.maximum(out_data, quads[3], out=out_data)
 
-    out = Tensor._result(out_data, (x,), "maxpool2d")
-    if out._op:
-        def _bwd(g, a=x):
-            # the first maximal element of each window takes the gradient
-            gp = np.zeros(xp.shape, dtype=g.dtype)
-            free = np.ones(g.shape, dtype=bool)
-            for (r, s), q in zip(_WINDOW, quads):
-                hit = (q == out_data) & free
-                gp[:, :, r::2, s::2] = np.where(hit, g, 0)
-                free &= ~hit
-            if pad_h:
-                gp[:, :, h - 1, :] += gp[:, :, h, :]
-            if pad_w:
-                gp[:, :, :, w - 1] += gp[:, :, :, w]
-            a._accumulate(np.ascontiguousarray(gp[:, :, :h, :w]))
-        out._backward = _bwd
-    return out
+    def _bwd(g, a=x):
+        # the first maximal element of each window takes the gradient
+        gp = np.zeros(xp.shape, dtype=g.dtype)
+        free = np.ones(g.shape, dtype=bool)
+        for (r, s), q in zip(_WINDOW, quads):
+            hit = (q == out_data) & free
+            gp[:, :, r::2, s::2] = np.where(hit, g, 0)
+            free &= ~hit
+        if pad_h:
+            gp[:, :, h - 1, :] += gp[:, :, h, :]
+        if pad_w:
+            gp[:, :, :, w - 1] += gp[:, :, :, w]
+        a._accumulate(np.ascontiguousarray(gp[:, :, :h, :w]))
+    return Tensor._result(out_data, (x,), "maxpool2d", _bwd)
 
 
 def _upsample2x_axis(x: np.ndarray, axis: int) -> np.ndarray:
@@ -463,11 +424,8 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
     if x.data.ndim != 4:
         raise ShapeError(f"upsample expects a rank-4 input, got shape {x.shape}")
     out_data = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3)
-    out = Tensor._result(out_data, (x,), "upsample_bilinear2x")
-    if out._op:
-        out._backward = lambda g, a=x: a._accumulate(
-            _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2))
-    return out
+    return Tensor._result(out_data, (x,), "upsample_bilinear2x", lambda g: x._accumulate(
+        _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2)))
 
 
 def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -490,22 +448,20 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     out_data = ((x.data - mu) * inv * gain.data.reshape(1, c, 1, 1)
                 + bias.data.reshape(1, c, 1, 1))
 
-    out = Tensor._result(out_data.astype(x.data.dtype, copy=False), (x, gain, bias), "instance_norm")
-    if out._op:
-        def _bwd(g, a=x, gn=gain, bs=bias):
-            # the normalised input again, from the (B, C, 1, 1) statistics
-            yv = (a.data - mu) * inv
-            if gn.requires_grad or gn._op:
-                gn._accumulate((g * yv).sum(axis=(0, 2, 3)))
-            if bs.requires_grad or bs._op:
-                bs._accumulate(g.sum(axis=(0, 2, 3)))
-            if a.requires_grad or a._op:
-                gy = g * gn.data.reshape(1, c, 1, 1)
-                m1 = gy.mean(axis=(2, 3), keepdims=True)
-                m2 = (gy * yv).mean(axis=(2, 3), keepdims=True)
-                a._accumulate(inv * (gy - m1 - yv * m2))
-        out._backward = _bwd
-    return out
+    def _bwd(g, a=x, gn=gain, bs=bias):
+        # the normalised input again, from the (B, C, 1, 1) statistics
+        yv = (a.data - mu) * inv
+        if gn.requires_grad:
+            gn._accumulate((g * yv).sum(axis=(0, 2, 3)))
+        if bs.requires_grad:
+            bs._accumulate(g.sum(axis=(0, 2, 3)))
+        if a.requires_grad:
+            gy = g * gn.data.reshape(1, c, 1, 1)
+            m1 = gy.mean(axis=(2, 3), keepdims=True)
+            m2 = (gy * yv).mean(axis=(2, 3), keepdims=True)
+            a._accumulate(inv * (gy - m1 - yv * m2))
+    return Tensor._result(out_data.astype(x.data.dtype, copy=False),
+                          (x, gain, bias), "instance_norm", _bwd)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
@@ -514,17 +470,14 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != 4:
             raise ShapeError("concat_channels expects rank-4 tensors")
     out_data = np.concatenate([t.data for t in tensors], axis=1)
-    out = Tensor._result(out_data, tuple(tensors), "concat")
-    if out._op:
-        sizes = [t.data.shape[1] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
+    ts = tuple(tensors)
 
-        def _bwd(g, ts=tuple(tensors), offs=offsets):
-            for t, o0, o1 in zip(ts, offs[:-1], offs[1:]):
-                if t.requires_grad or t._op:
-                    t._accumulate(np.ascontiguousarray(g[:, o0:o1]))
-        out._backward = _bwd
-    return out
+    def _bwd(g):
+        offs = np.cumsum([0] + [t.data.shape[1] for t in ts])
+        for t, o0, o1 in zip(ts, offs[:-1], offs[1:]):
+            if t.requires_grad:
+                t._accumulate(np.ascontiguousarray(g[:, o0:o1]))
+    return Tensor._result(out_data, ts, "concat", _bwd)
 
 
 def crop2d(x: Tensor, height: int, width: int) -> Tensor:
@@ -534,14 +487,13 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
         raise ShapeError(f"cannot crop {h}x{w} up to {height}x{width}")
     if height == h and width == w:
         return x
-    out = Tensor._result(np.ascontiguousarray(x.data[:, :, :height, :width]), (x,), "crop2d")
-    if out._op:
-        def _bwd(g, a=x):
-            gx = np.zeros_like(a.data)
-            gx[:, :, :height, :width] = g
-            a._accumulate(gx)
-        out._backward = _bwd
-    return out
+
+    def _bwd(g, a=x):
+        gx = np.zeros_like(a.data)
+        gx[:, :, :height, :width] = g
+        a._accumulate(gx)
+    return Tensor._result(np.ascontiguousarray(x.data[:, :, :height, :width]), (x,),
+                          "crop2d", _bwd)
 
 
 def spatial_attention(features: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

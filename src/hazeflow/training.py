@@ -28,8 +28,6 @@ class TrainConfig:
     patience: int = 100
     factor: float = 0.5
     seed: int = 0
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.lr < 0:
@@ -257,14 +255,13 @@ def _epoch_loss(hazy: np.ndarray, clean: np.ndarray, net, lut, flow_cfg) -> floa
 
 def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
                flow_cfg: FlowConfig, net: Optional[PurifierNet] = None,
-               lut: Optional[Lut3D] = None, val_pairs=None,
-               width: int = 16, lut_size: int = 33,
-               train_lut: bool = True) -> TrainResult:
+               lut: Optional[Lut3D] = None, width: int = 16,
+               lut_size: int = 33) -> TrainResult:
     """Fit purifier + LUT on hazy/clean pairs through the unrolled solver.
 
-    With no explicit validation set the training pairs double as the
-    validation set (desk-scale default). Runs are deterministic for a
-    fixed seed. Raises DivergenceError when the loss turns non-finite.
+    The LUT trains iff its grid requires grad. The training pairs double
+    as the validation set (desk scale). Runs are deterministic for a fixed
+    seed. Raises DivergenceError when the loss turns non-finite.
     """
     hazy, clean = pairs
     if hazy.shape != clean.shape:
@@ -275,14 +272,12 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
         net = PurifierNet(width=width, seed=cfg.seed)
     if lut is None and flow_cfg.lam > 0:
         lut = lut_from_size(lut_size)
-    val_hazy, val_clean = val_pairs if val_pairs is not None else (hazy, clean)
 
     trainable = dict(net.parameters())
-    if lut is not None and train_lut and lut.grid.requires_grad:
+    if lut is not None and lut.grid.requires_grad:
         trainable["lut.grid"] = lut.grid
 
-    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                betas=cfg.betas, eps=cfg.eps)
+    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     sched = ReduceLROnPlateau(cfg.lr, patience=cfg.patience, factor=cfg.factor)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
 
@@ -313,7 +308,7 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
             opt.step()
             epoch_loss += float(loss.data) * len(idx)
         train_l1 = epoch_loss / n
-        val_l1 = _epoch_loss(val_hazy, val_clean, net, lut, flow_cfg)
+        val_l1 = _epoch_loss(hazy, clean, net, lut, flow_cfg)
         lr_now = sched.step(val_l1)
         opt.lr = lr_now
         history.append(EpochStats(epoch, train_l1, val_l1, lr_now))

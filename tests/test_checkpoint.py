@@ -2,12 +2,15 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazeflow.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from hazeflow.errors import DataError
+from hazeflow.errors import ConfigError, DataError
 from hazeflow.flow import FlowConfig, integrate
 from hazeflow.lut import identity_lut
 from hazeflow.purifier import PurifierNet
@@ -146,3 +149,76 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     ckpt = load_checkpoint(str(path))
     for name, p in net.parameters().items():
         np.testing.assert_array_equal(ckpt.net.params[name].data, p.data)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+def _positions(value, prefix=()):
+    # every key or index path inside a JSON document, the root excluded
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _positions(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    net = PurifierNet(width=1)
+    path = tmp_path_factory.mktemp("ckpt") / "small.hzf"
+    save_checkpoint(str(path), net, identity_lut(2), FlowConfig(),
+                    optimizer=AdamW(net.parameters(), lr=1e-3))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_header_values_and_truncated_payload(small_checkpoint, data):
+    blob = small_checkpoint.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, key = data.draw(st.sampled_from(sorted(_positions(header), key=repr)))
+        target = header
+        for part in parents:
+            target = target[part]
+        target[key] = data.draw(_JSON)
+    payload = blob[8 + hlen:]
+    payload = payload[:data.draw(st.integers(0, len(payload)) | st.just(len(payload)))]
+    new = json.dumps(header).encode()
+    path = small_checkpoint.with_name("fuzzed.hzf")
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + payload)
+    try:
+        ckpt = load_checkpoint(str(path))
+    except (DataError, ConfigError):
+        return
+    assert isinstance(ckpt.net, PurifierNet) and isinstance(ckpt.flow, FlowConfig)
+
+
+def test_forged_tensor_size_allocates_nothing(tmp_path):
+    path = tmp_path / "forged.hzf"
+    save_checkpoint(str(path), PurifierNet(width=1), None, FlowConfig())
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    header["tensors"][0]["shape"] = [2**20, 2**20, 4]  # 16 TiB of float32
+    new = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated tensor payload"):
+            load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, save_checkpoint
 from hazeflow.cli import main
@@ -104,6 +106,17 @@ class TestDehaze:
                    "--checkpoint", str(tiny_checkpoint)])
         assert rc == 2
 
+    @pytest.mark.parametrize("size", [b"-1 -1", b"0 0"])
+    def test_ppm_without_pixels_is_data_error(self, tmp_path, tiny_checkpoint,
+                                              capsys, size):
+        bad = tmp_path / "empty.ppm"
+        bad.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(12))
+        rc = main(["dehaze", str(bad), str(tmp_path / "out.ppm"),
+                   "--checkpoint", str(tiny_checkpoint)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_corrupt_png_input_is_data_error(self, tmp_path, tiny_checkpoint,
                                              capsys):
         bad = tmp_path / "bad.png"
@@ -147,6 +160,51 @@ def test_corrupt_checkpoint_header_is_data_error(tmp_path, hazy_ppm, capsys,
     assert "corrupt checkpoint header" in err
 
 
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8:8 + hlen])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+
+
+def _drop_lut_grid(header):
+    header["tensors"] = [t for t in header["tensors"] if t["name"] != "lut.grid"]
+
+
+# header edits past the header's own checks; each gives one data error line
+_BAD_CHECKPOINT_FIELDS = {
+    "negative_shape": lambda h: h["tensors"][0].update(shape=[-1]),
+    "float_shape": lambda h: h["tensors"][0].update(shape=[2.5]),
+    "bool_shape": lambda h: h["tensors"][0].update(shape=[True]),
+    "nested_shape": lambda h: h["tensors"][0].update(shape=[[1, 3, 3, 3]]),
+    "tensors_not_a_list": lambda h: h.update(tensors=5),
+    "width_not_a_number": lambda h: h["net"].update(width="x"),
+    "width_missing": lambda h: h["net"].pop("width"),
+    "lut_without_grid": _drop_lut_grid,
+    "flow_solver_heun": lambda h: h["flow"].update(solver="heun"),
+    "flow_steps_0": lambda h: h["flow"].update(steps=0),
+    # would ask the reader for 4 TiB before the size check
+    "forged_size": lambda h: h["tensors"][0].update(shape=[2**40]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHECKPOINT_FIELDS))
+def test_bad_checkpoint_field_is_data_error(tmp_path, hazy_ppm, capsys, case):
+    ckpt = tmp_path / "bad.hzf"
+    save_checkpoint(str(ckpt), PurifierNet(width=1), identity_lut(2),
+                    FlowConfig(solver="euler", steps=1))
+    _rewrite_header(ckpt, _BAD_CHECKPOINT_FIELDS[case])
+    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
+               "--checkpoint", str(ckpt), "--tile", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    expected = "truncated" if case == "forged_size" else "corrupt checkpoint header"
+    assert expected in err
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
     # a huge head kernel makes the first field evaluation overflow, so
@@ -168,6 +226,7 @@ def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
 _BAD_CONFIGS = {
     "dehaze_steps_0": ["dehaze", "--steps", "0"],
     "dehaze_negative_lambda": ["dehaze", "--lambda", "-1"],
+    "dehaze_nan_lambda": ["dehaze", "--lambda", "nan"],
     "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
     "dehaze_lut_size_1": ["dehaze", "--lut-size", "1"],
     "bench_lut_size_1": ["bench", "--lut-size", "1"],
@@ -296,3 +355,41 @@ class TestUsageAndConfig:
         rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"),
                    "--config", str(tmp_path / "absent.cfg")])
         assert rc == 2
+
+    def test_non_utf8_config_is_data_error(self, tmp_path, hazy_ppm, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"steps=\xff\xfe\n")
+        rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"),
+                   "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "not UTF-8" in err
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+_CONFIG_LINE = st.one_of(_TEXT, st.builds(
+    "{}={}".format,
+    st.sampled_from(["steps", "solver", "lambda", "height", "width", "seed",
+                     "tile", "overlap", "lut_size", "net_width", "config"]) | _TEXT,
+    _TEXT | st.integers(-3, 3).map(str) | st.floats().map(str)))
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "fuzz.cfg"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(_CONFIG_LINE, max_size=6).map(
+                     lambda lines: "\n".join(lines).encode("utf-8"))))
+def test_arbitrary_config_file_exits_0_1_or_2(config_fuzz_path, content):
+    # bench writes no files; the explicit flags, which win over the config,
+    # keep every run tiny
+    config_fuzz_path.write_bytes(content)
+    rc = main(["bench", "--config", str(config_fuzz_path), "--height", "8",
+               "--width", "8", "--net-width", "2", "--lut-size", "3",
+               "--tile", "0", "--steps", "1", "--solver", "euler",
+               "--lambda", "0.5"])
+    assert rc in (0, 1, 2)

@@ -70,6 +70,29 @@ class TestPpm:
         with pytest.raises(DataError):
             load_image(str(path))
 
+    @pytest.mark.parametrize("size", [b"-1 -1", b"0 0", b"0 3", b"2 -4"])
+    def test_size_below_one_rejected(self, tmp_path, size):
+        path = tmp_path / "empty.ppm"
+        path.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(24))
+        with pytest.raises(DataError, match="no pixels"):
+            load_image(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=48),
+        st.builds(lambda w, h, maxval, body: b"%d %d %d\n" % (w, h, maxval) + body,
+                  st.integers(-2, 2**40), st.integers(-2, 2**40),
+                  st.integers(-1, 70000), st.binary(max_size=48))))
+    def test_arbitrary_bytes_after_magic(self, tmp_path_factory, tail):
+        path = tmp_path_factory.mktemp("ppm") / "fuzz.ppm"
+        path.write_bytes(b"P6" + tail)
+        try:
+            img = load_image(str(path))
+        except DataError:
+            return
+        assert img.dtype == np.float32 and img.shape[:2] == (1, 3)
+        assert img.size > 0 and 0.0 <= img.min() and img.max() <= 1.0
+
 
 def test_missing_file():
     with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Tensor engine: forward semantics of every op plus gradient fidelity."""
 
+import operator
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hazeflow.errors import GraphError, ShapeError
 from hazeflow import tensor as tensor_mod
 from hazeflow.gradcheck import check_gradients
+from hazeflow.lut import Lut3D, trilinear_apply
 from hazeflow.tensor import (Tensor, concat_channels, conv2d, crop2d, gelu,
                              instance_norm, maxpool2d, no_grad,
                              spatial_attention, upsample_bilinear2x)
@@ -232,6 +234,57 @@ class TestBackward:
             y = (x * 2.0).sum()
         with pytest.raises(GraphError):
             y.backward()
+
+
+# every op that records a graph node: (op, input shapes)
+_X = (1, 3, 4, 4)
+_RECORDING_OPS = {
+    "add": (operator.add, [_X, _X]),
+    "sub": (operator.sub, [_X, _X]),
+    "mul": (operator.mul, [_X, _X]),
+    "div": (operator.truediv, [_X, _X]),
+    "abs": (Tensor.abs, [_X]),
+    "clamp": (lambda x: x.clamp(0.3, 0.7), [_X]),
+    "sigmoid": (Tensor.sigmoid, [_X]),
+    "sum": (Tensor.sum, [_X]),
+    "mean": (Tensor.mean, [_X]),
+    "gelu": (gelu, [_X]),
+    "conv2d": (lambda x, w, b: conv2d(x, w, b, padding=1), [_X, (2, 3, 3, 3), (2,)]),
+    "maxpool2d": (maxpool2d, [_X]),
+    "upsample_bilinear2x": (upsample_bilinear2x, [_X]),
+    "instance_norm": (instance_norm, [_X, (3,), (3,)]),
+    "concat_channels": (lambda a, b: concat_channels([a, b]), [_X, _X]),
+    "crop2d": (lambda x: crop2d(x, 3, 2), [_X]),
+    "trilinear_apply": (lambda x, grid: trilinear_apply(x, Lut3D(grid)), [_X, (3, 3, 3, 3)]),
+}
+
+
+def _recording_inputs(shapes, requires):
+    rng = np.random.default_rng(5)
+    return [Tensor(rng.uniform(0.2, 0.8, shape).astype(np.float32), requires_grad=r)
+            for shape, r in zip(shapes, requires)]
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDING_OPS))
+def test_recording_rule(name):
+    op, shapes = _RECORDING_OPS[name]
+    n = len(shapes)
+    with no_grad():
+        unrecorded = [op(*_recording_inputs(shapes, [True] * n))]
+    unrecorded.append(op(*_recording_inputs(shapes, [False] * n)))
+    for out in unrecorded:
+        assert out._backward is None and out._parents == ()
+        assert not out.requires_grad and out._op is None
+    # one parent at a time requires grad: recorded, and only it gets .grad
+    for i in range(n):
+        requires = [j == i for j in range(n)]
+        xs = _recording_inputs(shapes, requires)
+        out = op(*xs)
+        assert out.requires_grad and out._op is not None and out._backward is not None
+        assert len(out._parents) == n
+        assert all(p is x for p, x in zip(out._parents, xs))
+        out.backward(np.ones_like(out.data))
+        assert [x.grad is not None for x in xs] == requires
 
 
 # every differentiable op, finite-difference consistency in float32:
