@@ -47,6 +47,8 @@ class PurifierNet:
     def __init__(self, width: int = 16, seed: int = 0, dtype=np.float32):
         if width < 1:
             raise ConfigError("width must be positive")
+        if seed < 0:  # numpy seeds from non-negative integers only
+            raise ConfigError("seed must be non-negative")
         self.width = int(width)
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)

@@ -196,6 +196,8 @@ def make_toy_dataset(n: int, size: int, seed: int) -> tuple[np.ndarray, np.ndarr
         raise ConfigError("a synthetic dataset needs at least one pair")
     if size < 1:
         raise ConfigError("synthetic images need a positive size")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     clean = np.stack([make_clean_image(rng, size) for _ in range(n)])
     hazy = np.empty_like(clean)

@@ -172,6 +172,17 @@ def _positions(value, prefix=()):
         yield from _positions(child, prefix + (key,))
 
 
+def _split(path):
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return json.loads(blob[8:8 + hlen]), blob[8 + hlen:]
+
+
+def _join(path, header, payload):
+    new = json.dumps(header).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + payload)
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     net = PurifierNet(width=1)
@@ -184,20 +195,16 @@ def small_checkpoint(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fuzzed_header_values_and_truncated_payload(small_checkpoint, data):
-    blob = small_checkpoint.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + hlen])
+    header, payload = _split(small_checkpoint)
     for _ in range(data.draw(st.integers(1, 3))):
         *parents, key = data.draw(st.sampled_from(sorted(_positions(header), key=repr)))
         target = header
         for part in parents:
             target = target[part]
         target[key] = data.draw(_JSON)
-    payload = blob[8 + hlen:]
     payload = payload[:data.draw(st.integers(0, len(payload)) | st.just(len(payload)))]
-    new = json.dumps(header).encode()
     path = small_checkpoint.with_name("fuzzed.hzf")
-    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + payload)
+    _join(path, header, payload)
     try:
         ckpt = load_checkpoint(str(path))
     except (DataError, ConfigError):
@@ -208,12 +215,9 @@ def test_fuzzed_header_values_and_truncated_payload(small_checkpoint, data):
 def test_forged_tensor_size_allocates_nothing(tmp_path):
     path = tmp_path / "forged.hzf"
     save_checkpoint(str(path), PurifierNet(width=1), None, FlowConfig())
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    header = json.loads(blob[8:8 + hlen])
+    header, payload = _split(path)
     header["tensors"][0]["shape"] = [2**20, 2**20, 4]  # 16 TiB of float32
-    new = json.dumps(header).encode()
-    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+    _join(path, header, payload)
     tracemalloc.start()
     try:
         with pytest.raises(DataError, match="truncated tensor payload"):

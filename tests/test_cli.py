@@ -237,6 +237,9 @@ _BAD_CONFIGS = {
     "train_synth_size_0": ["train", "--synth-size", "0"],
     "train_width_0": ["train", "--width", "0"],
     "train_lut_size_1": ["train", "--lut-size", "1"],
+    "bench_negative_seed": ["bench", "--seed", "-1"],
+    "dehaze_negative_seed": ["dehaze", "--seed", "-1"],
+    "train_negative_seed": ["train", "--seed", "-1"],
 }
 
 
