@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         argv = _merge_config(argv)
         args = parser.parse_args(argv)
     except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc} (step {exc.step})", file=sys.stderr)
         return 3
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # OSError: a file the system refused
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except HazeflowError as exc:

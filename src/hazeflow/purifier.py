@@ -100,7 +100,8 @@ def cnn_forward(x: Tensor, net: PurifierNet) -> Tensor:
         skips.append(feat)
         feat = maxpool2d(feat)
         feat = conv2d(feat, p[f"enc{i}.w"], p[f"enc{i}.b"], padding=1)
-        feat = gelu(instance_norm(feat, p[f"enc{i}.gain"], p[f"enc{i}.bias"]))
+        feat = instance_norm(feat, p[f"enc{i}.gain"], p[f"enc{i}.bias"])
+        feat = gelu(feat)  # its own statement: no_grad frees the conv output first
 
     feat = spatial_attention(feat, p["attn.w"], p["attn.b"])
 
@@ -110,7 +111,8 @@ def cnn_forward(x: Tensor, net: PurifierNet) -> Tensor:
         feat = crop2d(feat, skip.shape[2], skip.shape[3])
         feat = concat_channels([feat, skip])
         feat = conv2d(feat, p[f"dec{i}.w"], p[f"dec{i}.b"], padding=1)
-        feat = gelu(instance_norm(feat, p[f"dec{i}.gain"], p[f"dec{i}.bias"]))
+        feat = instance_norm(feat, p[f"dec{i}.gain"], p[f"dec{i}.bias"])
+        feat = gelu(feat)  # its own statement: no_grad frees the conv output first
 
     head = conv2d(feat, p["head.w"], p["head.b"], padding=1)
     return head + x

@@ -255,7 +255,9 @@ def gelu(x: Tensor) -> Tensor:
     cancel to zero.
     """
     d = x.data
-    cdf = (0.5 * erfc(-d * _INV_SQRT2)).astype(d.dtype, copy=False)
+    cdf = np.multiply(d, -_INV_SQRT2)  # one buffer, the same ops in order
+    erfc(cdf, out=cdf)
+    cdf *= 0.5
 
     def _bwd(g, a=x):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
@@ -268,86 +270,95 @@ def gelu(x: Tensor) -> Tensor:
 _STRIP_ELEMS = 1 << 18
 
 
-def _column_blocks(xp: np.ndarray, kh: int, kw: int):
-    # im2col of a (B, C, Hp, Wp) input in strips of output rows: yields
-    # (r0, r1, cols) with cols the (B, C*kh*kw, (r1-r0)*Wo) columns of
-    # output rows r0:r1; every strip reuses one buffer, so each must be
-    # consumed before the next is drawn
-    b, c, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
+def _column_blocks(x: np.ndarray, kh: int, kw: int, pad: int):
+    # im2col of a (B, C, H, W) input zero-padded by `pad` on each side (a
+    # negative pad crops), in strips of output rows: yields (r0, r1, cols)
+    # with cols the (B, C*kh*kw, (r1-r0)*Wo) columns of output rows r0:r1.
+    # A strip's padded rows are staged in a slab that rolls down the image,
+    # so no padded copy of the input is made; the slab and the column
+    # buffer are reused, so each strip must be consumed before the next.
+    if pad < 0:
+        x, pad = x[:, :, -pad:pad, -pad:pad], 0
+    b, c, h, w = x.shape
+    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
     k = c * kh * kw
     rows = max(1, min(ho, _STRIP_ELEMS // (b * k * wo)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    buf = np.empty(b * k * rows * wo, dtype=xp.dtype)
+    # slab row i holds input row r0 + i - pad; rows above the image are
+    # only ever zero, rows below it are zeroed as the slab reaches them
+    slab = np.zeros((b, c, rows + kh - 1, w + 2 * pad), dtype=x.dtype)
+    s0, s1, s2, s3 = slab.strides
+    win = np.lib.stride_tricks.as_strided(
+        slab, (b, c, kh, kw, rows, wo), (s0, s1, s2, s3, s2, s3), writeable=False)
+    buf = np.empty(b * k * rows * wo, dtype=x.dtype)
     for r0 in range(0, ho, rows):
         r1 = min(r0 + rows, ho)
+        n, top = r1 - r0 + kh - 1, 0
+        if r0:  # the kh-1 rows shared with the last strip move up
+            slab[:, :, :kh - 1] = slab[:, :, rows:rows + kh - 1]
+            top = kh - 1
+        i0 = max(r0 + top - pad, 0)
+        i1 = max(min(r0 + n - pad, h), i0)
+        slab[:, :, i0 - r0 + pad:i1 - r0 + pad, pad:pad + w] = x[:, :, i0:i1]
+        slab[:, :, max(i1 - r0 + pad, top):n] = 0
         cols = buf[:b * k * (r1 - r0) * wo].reshape(b, c, kh, kw, r1 - r0, wo)
-        # (B, C, rows, Wo, kh, kw) -> (B, C, kh, kw, rows, Wo)
-        np.copyto(cols, win[:, :, r0:r1].transpose(0, 1, 4, 5, 2, 3))
+        np.copyto(cols, win[:, :, :, :, :r1 - r0])
         yield r0, r1, cols.reshape(b, k, (r1 - r0) * wo)
 
 
-def _correlate(xp: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    # valid stride-1 cross-correlation of (B, C, Hp, Wp) with (O, C, kh, kw):
-    # one BLAS gemm per strip and batch item, written into the output
-    b = xp.shape[0]
+def _correlate(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
+    # stride-1 cross-correlation of (B, C, H, W), zero-padded by `pad`, with
+    # (O, C, kh, kw): one BLAS gemm per strip and batch item, into the output
+    b = x.shape[0]
     c_out, _, kh, kw = kernel.shape
-    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    out = np.empty((b, c_out, ho * wo), dtype=np.result_type(xp, kernel))
+    ho, wo = x.shape[2] + 2 * pad - kh + 1, x.shape[3] + 2 * pad - kw + 1
+    out = np.empty((b, c_out, ho * wo), dtype=np.result_type(x, kernel))
     w2 = kernel.reshape(c_out, -1)
-    for r0, r1, cols in _column_blocks(xp, kh, kw):
+    for r0, r1, cols in _column_blocks(x, kh, kw, pad):
         np.matmul(w2, cols, out=out[:, :, r0 * wo:r1 * wo])
     return out.reshape(b, c_out, ho, wo)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            padding: int = 0) -> Tensor:
-    """2d cross-correlation. Kernels are 1x1 or 3x3, stride 1 in this project.
+    """2d cross-correlation, stride 1. Kernels are square (1x1 or 3x3 here).
 
     The input gradient is the transposed convolution: the output gradient,
-    padded by k-1-padding on each side (cropped where padding > k-1) and
-    correlated with the flipped, channel-swapped kernel, is the input's
-    gradient; no border that would be cropped away is computed.
+    zero-padded by k-1-padding on each side (cropped where padding > k-1)
+    and correlated with the flipped, channel-swapped kernel, is the input's
+    gradient. No padded copy of an array is made: the strips pad as they go.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects a rank-4 input, got shape {x.shape}")
-    if weight.data.ndim != 4:
-        raise ShapeError(f"conv2d expects a rank-4 kernel, got shape {weight.shape}")
+    if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
+        raise ShapeError(f"conv2d expects a square rank-4 kernel, got shape {weight.shape}")
     b, c_in, h, w = x.data.shape
-    c_out, c_k, kh, kw = weight.data.shape
+    c_out, c_k, k, _ = weight.data.shape
     if c_k != c_in:
         raise ShapeError(
             f"kernel expects {c_k} input channels, input has {c_in}")
+    hp, wp = h + 2 * padding, w + 2 * padding
+    if hp < k or wp < k:
+        raise ShapeError(f"kernel {k}x{k} larger than padded input {hp}x{wp}")
 
-    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad)
-    hp, wp = xp.shape[2], xp.shape[3]
-    if hp < kh or wp < kw:
-        raise ShapeError(f"kernel {kh}x{kw} larger than padded input {hp}x{wp}")
-
-    out_data = _correlate(xp, weight.data)
+    out_data = _correlate(x.data, weight.data, padding)
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
 
     def _bwd(g, a=x, wt=weight, bt=bias):
         if wt.requires_grad:
-            # the same strips as the forward, from the input padded again:
-            # the graph keeps neither the columns nor a padded copy of the input
+            # the same strips as the forward, built again: the graph keeps
+            # neither the columns nor a padded copy of the input
             g2, wo = g.reshape(b, c_out, -1), g.shape[3]
-            gw = np.zeros((c_out, c_in * kh * kw), dtype=g.dtype)
-            for r0, r1, cols in _column_blocks(np.pad(a.data, pad), kh, kw):
+            gw = np.zeros((c_out, c_in * k * k), dtype=g.dtype)
+            for r0, r1, cols in _column_blocks(a.data, k, k, padding):
                 gs = g2[:, :, r0 * wo:r1 * wo]
                 gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
             wt._accumulate(gw.reshape(wt.data.shape))
         if bt is not None and bt.requires_grad:
             bt._accumulate(g.sum(axis=(0, 2, 3)))
         if a.requires_grad:
-            ch, cw = max(padding - kh + 1, 0), max(padding - kw + 1, 0)
-            gp = np.pad(g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw],
-                        ((0, 0), (0, 0), (kh - 1 - padding + ch,) * 2,
-                         (kw - 1 - padding + cw,) * 2))
             a._accumulate(_correlate(
-                gp, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+                g, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(out_data, parents, "conv2d", _bwd)
@@ -445,8 +456,10 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
     var = x.data.var(axis=(2, 3), keepdims=True, mean=mu)
     inv = 1.0 / np.sqrt(var + eps)
     inv = inv.astype(x.data.dtype, copy=False)
-    out_data = ((x.data - mu) * inv * gain.data.reshape(1, c, 1, 1)
-                + bias.data.reshape(1, c, 1, 1))
+    out_data = x.data - mu  # ((x - mu) * inv) * gain + bias, in one buffer
+    out_data *= inv
+    out_data *= gain.data.reshape(1, c, 1, 1)
+    out_data += bias.data.reshape(1, c, 1, 1)
 
     def _bwd(g, a=x, gn=gain, bs=bias):
         # the normalised input again, from the (B, C, 1, 1) statistics
@@ -460,8 +473,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
             m1 = gy.mean(axis=(2, 3), keepdims=True)
             m2 = (gy * yv).mean(axis=(2, 3), keepdims=True)
             a._accumulate(inv * (gy - m1 - yv * m2))
-    return Tensor._result(out_data.astype(x.data.dtype, copy=False),
-                          (x, gain, bias), "instance_norm", _bwd)
+    return Tensor._result(out_data, (x, gain, bias), "instance_norm", _bwd)
 
 
 def concat_channels(tensors: Sequence[Tensor]) -> Tensor:

@@ -366,8 +366,33 @@ class TestUsageAndConfig:
                    "--config", str(cfg)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("data error:") and err.count("\n") == 1
         assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["dehaze", "eval-out", "train-out", "loss-log"])
+def test_output_in_missing_directory_is_data_error(tmp_path, hazy_ppm, capsys, command):
+    missing = str(tmp_path / "absent" / "out")
+    pairs = tmp_path / "pairs"
+    pairs.mkdir()
+    save_image(load_image(str(hazy_ppm)), str(pairs / "a.ppm"))
+    train = ["train", "--epochs", "1", "--synth-pairs", "2", "--synth-size", "8",
+             "--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1"]
+    argv = {
+        "dehaze": ["dehaze", str(hazy_ppm), missing + ".ppm", "--width", "2",
+                   "--lut-size", "3", "--steps", "1", "--solver", "euler"],
+        "eval-out": ["eval", "--pred-dir", str(pairs), "--clean-dir", str(pairs),
+                     "--out", missing + ".txt"],
+        "train-out": train + ["--out", missing + ".hzf"],
+        "loss-log": train + ["--out", str(tmp_path / "ok.hzf"),
+                             "--loss-log", missing + ".txt"],
+    }[command]
+    capsys.readouterr()
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "absent" in err
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)

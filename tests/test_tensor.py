@@ -50,6 +50,11 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv2d(x, w)
 
+    def test_non_square_kernel_raises(self, rng):
+        # the input gradient pads both axes by one k-1-padding
+        with pytest.raises(ShapeError, match="square"):
+            conv2d(tensor(rng, (1, 3, 4, 4)), tensor(rng, (2, 3, 3, 1)), padding=1)
+
     def test_same_padding_preserves_size(self, rng):
         x = tensor(rng, (1, 3, 11, 13))
         w3 = tensor(rng, (5, 3, 3, 3))
@@ -502,8 +507,8 @@ def test_conv2d_strips_match_unblocked_reference(monkeypatch, batch, rows, strip
     seen = []
     blocks = tensor_mod._column_blocks
 
-    def spy(xp, kh, kw):
-        for r0, r1, cols in blocks(xp, kh, kw):
+    def spy(x, kh, kw, pad):
+        for r0, r1, cols in blocks(x, kh, kw, pad):
             seen.append((r0, r1))
             yield r0, r1, cols
 
@@ -518,8 +523,9 @@ def test_conv2d_strips_match_unblocked_reference(monkeypatch, batch, rows, strip
 
 
 def test_conv2d_keeps_no_full_column_matrix():
-    # inference holds the padded input, the output and one strip buffer;
-    # full im2col columns alone would be 9x the padded input
+    # inference holds the output, one 1 MB strip buffer and a slab of a few
+    # padded rows: 16.9 MiB. A padded copy of the input (19.4 MiB) no longer
+    # fits, let alone full im2col columns at 9x that
     x = Tensor(np.ones((1, 19, 512, 512), dtype=np.float32))
     w = Tensor(np.ones((16, 19, 3, 3), dtype=np.float32))
     padded, output = 19 * 514 * 514 * 4, 16 * 512 * 512 * 4
@@ -531,4 +537,71 @@ def test_conv2d_keeps_no_full_column_matrix():
     finally:
         tracemalloc.stop()
     assert out.shape == (1, 16, 512, 512)
-    assert peak < 3 * (padded + output)
+    assert peak < output + padded // 4
+
+
+def _padded_conv_reference(x, w, b, g, padding):
+    # forward, weight gradient and input gradient from np.pad copies, in the
+    # engine's strips and GEMMs, so float32 results must match bit for bit
+    def correlate(xp, kern, wgrad=None):
+        bsz, c, hp, wp = xp.shape
+        k = kern.shape[2]
+        ho, wo = hp - k + 1, wp - k + 1
+        rows = max(1, min(ho, tensor_mod._STRIP_ELEMS // (bsz * c * k * k * wo)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        out = np.empty((bsz, kern.shape[0], ho * wo), dtype=xp.dtype)
+        gw = np.zeros((kern.shape[0], c * k * k), dtype=xp.dtype)
+        for r0 in range(0, ho, rows):
+            r1 = min(r0 + rows, ho)
+            cols = np.ascontiguousarray(win[:, :, r0:r1].transpose(0, 1, 4, 5, 2, 3))
+            cols = cols.reshape(bsz, c * k * k, (r1 - r0) * wo)
+            out[:, :, r0 * wo:r1 * wo] = np.matmul(kern.reshape(kern.shape[0], -1), cols)
+            if wgrad is not None:
+                gs = wgrad.reshape(bsz, kern.shape[0], -1)[:, :, r0 * wo:r1 * wo]
+                gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
+        return out.reshape(bsz, -1, ho, wo), gw.reshape(kern.shape)
+
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
+    out, gw = correlate(xp, w, g)
+    crop = max(padding - k + 1, 0)
+    gp = np.pad(g[:, :, crop:g.shape[2] - crop, crop:g.shape[3] - crop],
+                ((0, 0), (0, 0), (k - 1 - padding + crop,) * 2,
+                 (k - 1 - padding + crop,) * 2))
+    gx, _ = correlate(gp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return out + b.reshape(1, -1, 1, 1), gw, gx
+
+
+# (2, 3, 7, 5) at 3x3: a forward strip row is 2*27*5 = 270 elements and an
+# input-gradient one 2*36*5 = 360, so a budget of 810 gives 3-row forward
+# strips (3+3+1) and 2-row input-gradient strips (2+2+2+1)
+@pytest.mark.parametrize("shape,kernel,padding,strip_elems", [
+    pytest.param((2, 3, 7, 5), 3, 0, None, id="pad0"),
+    pytest.param((2, 3, 7, 5), 3, 1, None, id="pad1"),
+    pytest.param((2, 3, 7, 5), 3, 2, None, id="pad2"),
+    pytest.param((2, 3, 7, 5), 1, 1, None, id="1x1-pad1-crop"),
+    pytest.param((2, 3, 7, 5), 3, 1, 1, id="pad1-one-row-strips"),
+    pytest.param((2, 3, 7, 5), 3, 2, 1, id="pad2-one-row-strips"),
+    pytest.param((1, 3, 6, 4), 1, 1, 1, id="1x1-pad1-one-row-strips"),
+    pytest.param((2, 3, 7, 5), 3, 1, 810, id="short-last-strip"),
+    pytest.param((1, 3, 2, 6), 3, 1, None, id="input-shorter-than-strip"),
+    pytest.param((1, 3, 1, 6), 3, 1, None, id="h1"),
+    pytest.param((1, 3, 1, 4), 3, 2, 1, id="h1-pad2-one-row-strips"),
+])
+def test_conv2d_matches_padded_reference_bitwise(monkeypatch, shape, kernel, padding,
+                                                 strip_elems):
+    if strip_elems is not None:
+        monkeypatch.setattr(tensor_mod, "_STRIP_ELEMS", strip_elems)
+    rng = np.random.default_rng(sum(shape) + kernel + padding)
+    x = Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (4, shape[1], kernel, kernel)).astype(np.float32),
+               requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, (4,)).astype(np.float32))
+    out = conv2d(x, w, b, padding=padding)
+    g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+    out.backward(g)
+    want_out, want_gw, want_gx = _padded_conv_reference(x.data, w.data, b.data, g, padding)
+    assert out.data.dtype == x.grad.dtype == w.grad.dtype == np.float32
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(w.grad, want_gw)
+    assert np.array_equal(x.grad, want_gx)
