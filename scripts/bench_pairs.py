@@ -15,8 +15,15 @@ did not. It then runs, once per side:
 
 - one traced run (`--trace 1`) per workload, seed `--seed-base` + 900,
   for the per-layer figures;
-- `hazeflow bench --height 2160 --width 3840 --tile 512` at Euler x1;
+- `hazeflow bench --height 2160 --width 3840 --tile 512` at Euler x1, whose
+  peak RSS moves with glibc's mmap threshold, so it is reported only;
 - the tier-1 test suite, for its wall time and summary line.
+
+Then it runs `hazeflow dehaze` from file to file on one seeded 3840x2160
+PPM (seed `--seed-base` + 800) with the perfbench fixture checkpoint,
+`--tile 512 --overlap 32 --solver euler --steps 1`, in 10 alternating
+pairs, recording each child's wall time and `ru_maxrss` and whether the
+two sides wrote byte-equal files.
 
 The output holds, per side and metric, the median and quartiles of the
 pairs, how many pairs the change won on each end-to-end metric (direction
@@ -27,17 +34,27 @@ and `src/` tree ids of both checkouts, and perfbench's `env` line.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+
+import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10
 UHD_ARGS = ["bench", "--height", "2160", "--width", "3840", "--tile", "512",
             "--solver", "euler", "--steps", "1"]
+UHD_DEHAZE_ARGS = ["--checkpoint", "perfbench/fixture/model.hzf", "--tile", "512",
+                   "--overlap", "32", "--solver", "euler", "--steps", "1"]
+# runs the CLI, then prints the process's own peak RSS (KiB) on stderr
+CLI_CHILD = ("import resource, sys; from hazeflow.cli import main; "
+             "code = main(sys.argv[1:]); print(resource.getrusage("
+             "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
 
 
 def run(cmd, cwd, timeout=1800):
@@ -120,14 +137,52 @@ def measure_traced(args, workloads, seconds):
     return out
 
 
-def measure_uhd(path):
-    proc, wall = run([sys.executable, "-c",
-                      "import sys; from hazeflow.cli import main; "
-                      "sys.exit(main(sys.argv[1:]))", *UHD_ARGS], path)
+def hazeflow(path, args):
+    """`hazeflow <args>` in a child: (process, wall s, child's peak RSS MiB)."""
+    proc, wall = run([sys.executable, "-c", CLI_CHILD, *args], path)
     if proc.returncode != 0:
-        raise RuntimeError(f"hazeflow bench in {path} failed:\n{proc.stderr}")
+        raise RuntimeError(f"hazeflow {args[0]} in {path} failed:\n{proc.stderr}")
+    return proc, wall, int(proc.stderr.split()[-1]) / 1024.0
+
+
+def measure_uhd(path):
+    proc, wall, _ = hazeflow(path, UHD_ARGS)
     return {"command": "hazeflow " + " ".join(UHD_ARGS), "wall_s": wall,
             "report": proc.stdout.strip().splitlines()}
+
+
+def measure_uhd_dehaze(args):
+    seed = args.seed_base + 800
+    pixels = np.random.default_rng(seed).integers(0, 256, (2160, 3840, 3),
+                                                  dtype=np.uint8)
+    runs = {side: {"wall_s": [], "peak_rss_mib": []} for side in SIDES}
+    equal = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "uhd.ppm")
+        with open(src, "wb") as fh:
+            fh.write(b"P6\n3840 2160\n255\n" + pixels.tobytes())
+        for i in range(PAIRS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                dst = os.path.join(tmp, f"{side}.ppm")
+                _, wall, rss = hazeflow(getattr(args, side),
+                                        ["dehaze", src, dst, *UHD_DEHAZE_ARGS])
+                runs[side]["wall_s"].append(wall)
+                runs[side]["peak_rss_mib"].append(rss)
+                print(f"uhd dehaze pair {i} {side}: {wall:.1f} s, "
+                      f"{rss:.0f} MiB", flush=True)
+            equal.append(filecmp.cmp(os.path.join(tmp, "parent.ppm"),
+                                     os.path.join(tmp, "change.ppm"),
+                                     shallow=False))
+    entry = {"command": "hazeflow dehaze <seeded 3840x2160 PPM> <out> "
+                        + " ".join(UHD_DEHAZE_ARGS),
+             "seed": seed, "first": [SIDES[i % 2] for i in range(PAIRS)],
+             "outputs_byte_equal": equal, "change_wins": {}}
+    for side in SIDES:
+        entry[side] = {name: summary(values) for name, values in runs[side].items()}
+    for name in runs["parent"]:
+        entry["change_wins"][name] = sum(
+            c < p for p, c in zip(runs["parent"][name], runs["change"][name]))
+    return entry
 
 
 def measure_tier1(path):
@@ -157,6 +212,7 @@ def main(argv=None) -> int:
     record["traced"] = measure_traced(args, list(record["workloads"]),
                                       declared["run_seconds"])
     record["uhd_bench"] = {side: measure_uhd(getattr(args, side)) for side in SIDES}
+    record["uhd_dehaze"] = measure_uhd_dehaze(args)
     record["tier1"] = {side: measure_tier1(getattr(args, side)) for side in SIDES}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

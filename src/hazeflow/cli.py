@@ -8,6 +8,7 @@ HAZEFLOW_CONFIG environment variable); explicit flags win. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -61,6 +62,14 @@ def _flow_from_args(args, base: FlowConfig | None = None) -> FlowConfig:
 
 
 def cmd_train(args) -> int:
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise DataError(f"cannot write {args.out}: its directory does not exist")
+    with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
+            else contextlib.nullcontext() as log:
+        return _train(args, log)
+
+
+def _train(args, log) -> int:
     cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
                       batch_size=args.batch_size, epochs=args.epochs,
                       patience=args.patience, factor=args.factor,
@@ -84,12 +93,7 @@ def cmd_train(args) -> int:
     result = train_loop((hazy, clean), cfg, flow_cfg, width=args.width,
                         lut_size=args.lut_size)
     result.restore_best()
-    table = history_table(result.history)
-    if args.loss_log:
-        with open(args.loss_log, "w", encoding="ascii") as fh:
-            fh.write(table + "\n")
-    else:
-        print(table)
+    print(history_table(result.history), file=log)
     print(f"best val L1 {result.best_val:.6f} at epoch {result.best_epoch}")
 
     save_checkpoint(args.out, result.net, result.lut, flow_cfg,

@@ -19,14 +19,14 @@ import zlib
 import numpy as np
 
 from .errors import DataError
-from .tensor import Tensor
+from .tensor import _STRIP_ELEMS, Tensor
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # colour type -> samples per pixel
 _OTHER_FORMATS = "formats other than PPM and PNG"
 
 
-def _read_ppm(path: str) -> np.ndarray:
+def _read_ppm(path: str) -> tuple[np.ndarray, int]:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P6"):
@@ -64,8 +64,7 @@ def _read_ppm(path: str) -> np.ndarray:
     if count * dtype.itemsize > len(data) - pos:
         raise DataError(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    img = raw.reshape(height, width, 3).astype(np.float32) / maxval
-    return img
+    return raw.reshape(height, width, 3), maxval
 
 
 def _pillow(path: str, what: str):
@@ -76,11 +75,11 @@ def _pillow(path: str, what: str):
     return Image
 
 
-def _read_pillow(path: str, what: str) -> np.ndarray:
+def _read_pillow(path: str, what: str) -> tuple[np.ndarray, int]:
     Image = _pillow(path, what)
     try:
         with Image.open(path) as im:
-            return np.asarray(im.convert("RGB"), dtype=np.float32) / 255.0
+            return np.asarray(im.convert("RGB")), 255
     except Exception as exc:
         raise DataError(f"{path}: unreadable image ({exc})") from exc
 
@@ -170,7 +169,7 @@ def _png_unfilter(raw: bytes, height: int, stride: int, bpp: int) -> np.ndarray:
     return out.reshape(height, stride)
 
 
-def _read_png(path: str) -> np.ndarray:
+def _read_png(path: str) -> tuple[np.ndarray, int]:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(_PNG_SIGNATURE):
@@ -228,8 +227,7 @@ def _read_png(path: str) -> np.ndarray:
         raise DataError(f"{path}: PNG image data holds {len(raw)} bytes, "
                         f"expected {expected}")
     pixels = _png_unfilter(raw, height, stride, bpp).reshape(height, width, bpp)
-    rgb = pixels[..., [0, 0, 0]] if bpp < 3 else pixels[..., :3]
-    return rgb.astype(np.float32) / 255.0
+    return (pixels[..., [0, 0, 0]] if bpp < 3 else pixels[..., :3]), 255
 
 
 def load_image(path: str) -> np.ndarray:
@@ -238,12 +236,14 @@ def load_image(path: str) -> np.ndarray:
         raise DataError(f"no such file: {path}")
     ext = os.path.splitext(path)[1].lower()
     if ext in (".ppm", ".pnm"):
-        img = _read_ppm(path)
+        pixels, maxval = _read_ppm(path)
     elif ext == ".png":
-        img = _read_png(path)
+        pixels, maxval = _read_png(path)
     else:
-        img = _read_pillow(path, _OTHER_FORMATS)
-    return np.ascontiguousarray(img.transpose(2, 0, 1)[None])
+        pixels, maxval = _read_pillow(path, _OTHER_FORMATS)
+    img = np.ascontiguousarray(pixels.transpose(2, 0, 1)[None], dtype=np.float32)
+    img /= maxval
+    return img
 
 
 def _to_hwc(image) -> np.ndarray:
@@ -259,23 +259,23 @@ def _to_hwc(image) -> np.ndarray:
 
 def save_image(image, path: str, bits: int = 8) -> None:
     """Save a [0, 1] image. PPM supports 8 or 16 bits; PNG and friends use 8."""
-    hwc = np.clip(_to_hwc(image), 0.0, 1.0)
     ext = os.path.splitext(path)[1].lower()
-    if ext in (".ppm", ".pnm"):
-        if bits == 8:
-            maxval, dtype = 255, np.uint8
-        elif bits == 16:
-            maxval, dtype = 65535, np.dtype(">u2")
-        else:
-            raise DataError("PPM bit depth must be 8 or 16")
-        quantized = np.rint(hwc.astype(np.float64) * maxval).astype(dtype)
-        h, w = hwc.shape[:2]
+    ppm = ext in (".ppm", ".pnm")
+    if ppm and bits not in (8, 16):
+        raise DataError("PPM bit depth must be 8 or 16")
+    maxval, dtype = (65535, ">u2") if ppm and bits == 16 else (255, np.uint8)
+    hwc = _to_hwc(image)
+    quantized = np.empty(hwc.shape, dtype=dtype)
+    step = max(1, _STRIP_ELEMS // max(1, 3 * hwc.shape[1]))  # rows per float band
+    for y in range(0, len(hwc), step):
+        band = np.clip(hwc[y:y + step], 0.0, 1.0).astype(np.float64)
+        band *= maxval
+        quantized[y:y + step] = np.rint(band, out=band)
+    if ppm:
         with open(path, "wb") as fh:
-            fh.write(f"P6\n{w} {h}\n{maxval}\n".encode("ascii"))
-            fh.write(quantized.tobytes())
-        return
-    quantized = np.rint(hwc.astype(np.float64) * 255).astype(np.uint8)
-    if ext == ".png":
+            fh.write(f"P6\n{hwc.shape[1]} {hwc.shape[0]}\n{maxval}\n".encode("ascii"))
+            fh.write(quantized.data)
+    elif ext == ".png":
         _write_png(path, quantized)
     else:
         _pillow(path, _OTHER_FORMATS).fromarray(quantized).save(path)

@@ -92,22 +92,33 @@ def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
     """Apply fn((1, C, th, tw) array) per tile and blend the overlaps.
 
     An image that fits a single tile bypasses blending entirely, so the
-    result is bit-identical to fn on the whole image.
+    result is bit-identical to fn on the whole image. Float64 sums are kept
+    for one tile row; the rows above the next one are divided out as it starts.
     """
     if data.ndim == 3:
         data = data[None]
-    _, _, h, w = data.shape
+    n, c, h, w = data.shape
     if h <= plan.tile and w <= plan.tile:
         return fn(data)
 
-    out = np.zeros_like(data, dtype=np.float64)
-    acc = np.zeros((h, w), dtype=np.float64)
+    out = np.empty_like(data)
+    rows = min(plan.tile, h)
+    sums = np.zeros((n, c, rows, w))
+    wsum = np.zeros((rows, w))
+    top = 0  # the image row held in buffer row 0
     for (y0, y1), (x0, x1), wmap in _tile_weights(h, w, plan):
+        if y0 > top:  # a new tile row
+            done = y0 - top
+            np.divide(sums[:, :, :done], wsum[:done], out=out[:, :, top:y0])
+            for buf in (sums, wsum):
+                buf[..., :rows - done, :] = buf[..., done:, :]
+                buf[..., rows - done:, :] = 0.0
+            top = y0
         result = fn(np.ascontiguousarray(data[:, :, y0:y1, x0:x1]))
-        out[:, :, y0:y1, x0:x1] += result * wmap
-        acc[y0:y1, x0:x1] += wmap
-    out /= acc
-    return out.astype(data.dtype)
+        sums[:, :, y0 - top:y1 - top, x0:x1] += result * wmap
+        wsum[y0 - top:y1 - top, x0:x1] += wmap
+    np.divide(sums, wsum, out=out[:, :, top:])
+    return out
 
 
 def dehaze(x, net: PurifierNet, lut: Lut3D | None, cfg: FlowConfig,

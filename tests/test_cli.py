@@ -395,6 +395,21 @@ def test_output_in_missing_directory_is_data_error(tmp_path, hazy_ppm, capsys, c
     assert "absent" in err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--loss-log"])
+def test_train_checks_its_outputs_before_the_first_epoch(tmp_path, capsys, flag):
+    missing = str(tmp_path / "absent" / "out")
+    argv = ["train", "--epochs", "3", "--synth-pairs", "2", "--synth-size", "8",
+            "--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1",
+            "--out", str(tmp_path / "ck.hzf"), flag, missing]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert missing in err and ".tmp" not in err
+    assert out == ""  # neither the data set line nor any epoch line
+    assert not (tmp_path / "absent").exists()
+
+
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
 _CONFIG_LINE = st.one_of(_TEXT, st.builds(
     "{}={}".format,

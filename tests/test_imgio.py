@@ -108,6 +108,27 @@ def test_png_roundtrip(tmp_path, rng):
     assert np.abs(loaded - img).max() <= 1.0 / 510.0 + 1e-9
 
 
+def test_save_and_load_working_set(tmp_path):
+    # tracemalloc peaks for a 3x720x1280 float32 image as an 8-bit PPM:
+    # save_image 52.7 MiB when it clipped, widened and scaled whole-image
+    # copies, 7.6 MiB quantising bands of rows into the uint8 output;
+    # load_image 23.7 MiB when it divided an HWC float32 copy and then
+    # transposed it, 13.2 MiB converting once into the CHW output
+    img = np.random.default_rng(0).uniform(0, 1, (1, 3, 720, 1280)).astype(np.float32)
+    path = str(tmp_path / "mid.ppm")
+    peaks = []
+    tracemalloc.start()
+    try:
+        for step in (lambda: save_image(img, path), lambda: load_image(path)):
+            tracemalloc.reset_peak()
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < 30 * 2**20
+    assert peaks[1] < 18 * 2**20
+
+
 def test_save_rejects_batches(tmp_path, rng):
     batch = rng.uniform(0, 1, (2, 3, 4, 4)).astype(np.float32)
     with pytest.raises(DataError):
