@@ -17,8 +17,8 @@ from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu, instance_nor
                      maxpool2d, no_grad, spatial_attention, upsample_bilinear2x)
 from .tiling import TilePlan, blend_weight_maps, dehaze, tile_spans
 from .training import (AdamW, OptState, ReduceLROnPlateau, TrainConfig,
-                       TrainResult, l1_loss, make_toy_dataset,
-                       plateau_schedule, synth_haze, train_loop)
+                       TrainResult, l1_loss, make_toy_dataset, synth_haze,
+                       train_loop)
 
 __version__ = "0.1.0"
 
@@ -31,8 +31,8 @@ __all__ = [
     "concat_channels", "conv2d", "crop2d", "dehaze", "evaluate_pairs",
     "export_cube", "fixed_contrast_saturation_lut", "gelu", "identity_lut",
     "instance_norm", "integrate", "integrate_field", "l1_loss",
-    "lattice_coords", "make_toy_dataset", "maxpool2d", "no_grad",
-    "plateau_schedule", "psnr", "purify", "solver_step", "spatial_attention",
-    "ssim", "synth_haze", "tile_spans", "train_loop", "trilinear_apply",
-    "upsample_bilinear2x", "vector_field",
+    "lattice_coords", "make_toy_dataset", "maxpool2d", "no_grad", "psnr",
+    "purify", "solver_step", "spatial_attention", "ssim", "synth_haze",
+    "tile_spans", "train_loop", "trilinear_apply", "upsample_bilinear2x",
+    "vector_field",
 ]

@@ -13,15 +13,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
 from .flow import SOLVERS, FlowConfig
 from .lut import Lut3D, fixed_contrast_saturation_lut, identity_lut
-from .metrics import psnr, ssim
+from .metrics import SSIM_WINDOW, psnr, ssim
 from .tiling import dehaze
 from .training import TrainConfig, make_toy_dataset, train_loop
 
 SUITES = ("lut", "lambda", "solver")
 LUT_SETTINGS = ("removed", "fixed", "learnable")
 LAMBDA_SETTINGS = (0.1, 0.5, 1.0)
+LAMBDA, LR, BATCH_SIZE = 0.5, 3e-3, 4  # every row's, lambda outside its own suite
 
 
 @dataclass
@@ -35,9 +37,10 @@ class AblationConfig:
     lut_size: int = 9
     steps: int = 2
     solver: str = "rk4"
-    lam: float = 0.5
-    lr: float = 3e-3
-    batch_size: int = 4
+
+    def __post_init__(self):
+        if self.size < SSIM_WINDOW:  # every row is scored by SSIM
+            raise ConfigError(f"size {self.size} is below the {SSIM_WINDOW}-pixel SSIM window")
 
 
 @dataclass
@@ -67,8 +70,8 @@ def _evaluate(net, lut, flow_cfg, hazy, clean):
 def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
              solver: str, lut: Optional[Lut3D]) -> AblationRow:
     hazy, clean = make_toy_dataset(acfg.n_pairs, acfg.size, acfg.seed)
-    cfg = TrainConfig(lr=acfg.lr, batch_size=acfg.batch_size,
-                      epochs=acfg.epochs, seed=acfg.seed)
+    cfg = TrainConfig(lr=LR, batch_size=BATCH_SIZE, epochs=acfg.epochs,
+                      seed=acfg.seed)
     flow_cfg = FlowConfig(solver=solver, steps=acfg.steps, lam=lam)
     before = None if lut is None else grid_checksum(lut)
     result = train_loop((hazy, clean), cfg, flow_cfg, lut=lut,
@@ -97,11 +100,11 @@ def run_suite(suite: str, acfg: Optional[AblationConfig] = None,
                                      solver=acfg.solver, lut=None))
             elif setting == "fixed":
                 lut = fixed_contrast_saturation_lut(acfg.lut_size)
-                rows.append(_run_one(acfg, suite, "fixed", lam=acfg.lam,
+                rows.append(_run_one(acfg, suite, "fixed", lam=LAMBDA,
                                      solver=acfg.solver, lut=lut))
             elif setting == "learnable":
                 lut = identity_lut(acfg.lut_size)
-                rows.append(_run_one(acfg, suite, "learnable", lam=acfg.lam,
+                rows.append(_run_one(acfg, suite, "learnable", lam=LAMBDA,
                                      solver=acfg.solver, lut=lut))
             else:
                 raise ValueError(f"unknown LUT setting {setting!r}")
@@ -113,7 +116,7 @@ def run_suite(suite: str, acfg: Optional[AblationConfig] = None,
     else:
         for solver in SOLVERS:
             lut = identity_lut(acfg.lut_size)
-            rows.append(_run_one(acfg, suite, solver, lam=acfg.lam,
+            rows.append(_run_one(acfg, suite, solver, lam=LAMBDA,
                                  solver=solver, lut=lut))
     return rows
 

@@ -9,9 +9,10 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .flow import FIELD_EVALS, FlowConfig
 from .lut import lut_from_size
-from .purifier import N_STAGES, PurifierNet
+from .purifier import N_STAGES, PurifierNet, param_shapes
 from .tiling import TilePlan, dehaze, tile_spans
 
 
@@ -23,7 +24,7 @@ def conv_macs(c_in: int, c_out: int, kernel: int, h_out: int, w_out: int) -> int
 def purifier_macs(width: int, height: int, w: int) -> dict[str, int]:
     """Per-layer conv MACs of one purifier forward pass at the given size.
 
-    Channel counts and kernel sizes are read from a PurifierNet's kernels.
+    Channel counts and kernel sizes are read from the purifier's layer plan.
     """
     # sizes[s]: feature map after s max-pools, odd sizes rounded up
     sizes = [(height, w)]
@@ -32,16 +33,10 @@ def purifier_macs(width: int, height: int, w: int) -> dict[str, int]:
     at = {"attn": sizes[N_STAGES], "head": sizes[0]}
     for i in range(1, N_STAGES + 1):
         at[f"enc{i}"], at[f"dec{i}"] = sizes[i], sizes[N_STAGES - i]
-    kernels = {name[:-2]: p.shape for name, p in PurifierNet(width).params.items()
+    kernels = {name[:-2]: shape for name, shape in param_shapes(width).items()
                if name.endswith(".w")}
     return {name: conv_macs(c_in, c_out, k, *at[name])
             for name, (c_out, c_in, k, _) in kernels.items()}
-
-
-def pipeline_macs(width: int, height: int, w: int, cfg: FlowConfig) -> int:
-    """Total conv MACs for a full integration (all steps, all field evals)."""
-    per_eval = sum(purifier_macs(width, height, w).values())
-    return per_eval * FIELD_EVALS[cfg.solver] * cfg.steps
 
 
 def peak_rss_bytes() -> int:
@@ -95,6 +90,8 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
               lut_size: int = 33, plan: Optional[TilePlan] = None,
               seed: int = 0) -> BenchReport:
     """Time one full dehazing pass on a synthetic image of the given size."""
+    if height < 1 or width < 1:
+        raise ConfigError(f"bench image size {width}x{height} must be at least 1x1")
     net = PurifierNet(width=net_width, seed=seed)
     lut = lut_from_size(lut_size, requires_grad=False)
     rng = np.random.default_rng(seed)

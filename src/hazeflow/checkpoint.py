@@ -60,7 +60,7 @@ def save_checkpoint(path: str, net: PurifierNet, lut: Optional[Lut3D],
     header = {
         "format_version": FORMAT_VERSION,
         "flow": {"solver": flow_cfg.solver, "steps": flow_cfg.steps,
-                 "t0": flow_cfg.t0, "t1": flow_cfg.t1, "lam": flow_cfg.lam},
+                 "t0": 0.0, "t1": 1.0, "lam": flow_cfg.lam},
         "net": {"width": net.width},
         "lut": None if lut is None else {
             "m": lut.m, "c_max": lut.c_max,
@@ -168,10 +168,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             if "lut.grid" not in tensors or c_max <= 0:
                 raise DataError(f"{path}: corrupt checkpoint header (lut)")
             lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable), c_max=c_max)
-        flow_cfg = FlowConfig(
-            solver=_field(header, "flow.solver", str, path),
-            steps=_field(header, "flow.steps", int, path),
-            **{k: _field(header, f"flow.{k}", float, path) for k in ("t0", "t1", "lam")})
+        if [_field(header, f"flow.{k}", float, path) for k in ("t0", "t1")] != [0.0, 1.0]:
+            raise DataError(f"{path}: corrupt checkpoint header (time range is not [0, 1])")
+        flow_cfg = FlowConfig(solver=_field(header, "flow.solver", str, path),
+                              steps=_field(header, "flow.steps", int, path),
+                              lam=_field(header, "flow.lam", float, path))
     except (ShapeError, ConfigError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header ({exc})") from exc
 

@@ -57,13 +57,14 @@ def _flow_from_args(args, base: FlowConfig | None = None) -> FlowConfig:
     return FlowConfig(
         solver=args.solver if args.solver is not None else base.solver,
         steps=args.steps if args.steps is not None else base.steps,
-        t0=base.t0, t1=base.t1,
         lam=args.lam if args.lam is not None else base.lam)
 
 
 def cmd_train(args) -> int:
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise DataError(f"cannot write {args.out}: its directory does not exist")
+    if os.path.isdir(args.out):
+        raise DataError(f"cannot write --out {args.out}: it is a directory")
     with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
             else contextlib.nullcontext() as log:
         return _train(args, log)

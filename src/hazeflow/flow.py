@@ -36,8 +36,6 @@ FIELD_EVALS = {name: len(rows) for name, rows in TABLEAUS.items()}
 class FlowConfig:
     solver: str = "rk4"
     steps: int = 4
-    t0: float = 0.0
-    t1: float = 1.0
     lam: float = 0.5
 
     def __post_init__(self):
@@ -45,14 +43,12 @@ class FlowConfig:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if self.t1 <= self.t0:
-            raise ConfigError("time range must satisfy t1 > t0")
         if not self.lam >= 0:  # NaN fails this too
             raise ConfigError("lambda must be non-negative")
 
     @property
     def dt(self) -> float:
-        return (self.t1 - self.t0) / self.steps
+        return 1.0 / self.steps  # time runs over [0, 1]
 
 
 def vector_field(x: Tensor, net: PurifierNet, lut: Optional[Lut3D],
@@ -116,7 +112,7 @@ def integrate_field(x0, field: Callable, cfg: FlowConfig,
     x = x0
     snapshots = []
     for i in range(cfg.steps):
-        x = solver_step(cfg.solver, x, field, cfg.t0 + i * dt, dt, step=i + 1)
+        x = solver_step(cfg.solver, x, field, i * dt, dt, step=i + 1)
         if record:
             snapshots.append(x)
     return x, snapshots

@@ -18,6 +18,7 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+_C1, _C2 = SSIM_K1 ** 2, SSIM_K2 ** 2  # (K * peak)^2, images in [0, 1]
 PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
 
@@ -27,21 +28,21 @@ def _as_image(x) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
-def psnr(x, y, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 for near-identical pairs."""
+def psnr(x, y) -> float:
+    """PSNR in dB for peak 1, capped at 100 for near-identical pairs."""
     xa, ya = _as_image(x), _as_image(y)
     if xa.shape != ya.shape:
         raise ShapeError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     mse = float(np.mean((xa - ya) ** 2))
     if mse < _PSNR_MSE_FLOOR:
         return PSNR_CAP_DB
-    return min(10.0 * np.log10(peak * peak / mse), PSNR_CAP_DB)
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """1d Gaussian taps, truncated to `size` and normalized to sum 1."""
-    offsets = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    k = np.exp(-0.5 * (offsets / sigma) ** 2)
+def gaussian_window() -> np.ndarray:
+    """1d Gaussian taps of the SSIM window, normalized to sum 1."""
+    offsets = np.arange(SSIM_WINDOW, dtype=np.float64) - (SSIM_WINDOW - 1) / 2.0
+    k = np.exp(-0.5 * (offsets / SSIM_SIGMA) ** 2)
     return k / k.sum()
 
 
@@ -54,20 +55,19 @@ def _filter_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
     return win @ k
 
 
-def _ssim_channel(x: np.ndarray, y: np.ndarray, c1: float, c2: float,
-                  k: np.ndarray) -> float:
+def _ssim_channel(x: np.ndarray, y: np.ndarray, k: np.ndarray) -> float:
     mu_x = _filter_valid(x, k)
     mu_y = _filter_valid(y, k)
     xx = _filter_valid(x * x, k) - mu_x * mu_x
     yy = _filter_valid(y * y, k) - mu_y * mu_y
     xy = _filter_valid(x * y, k) - mu_x * mu_y
-    lum = (2.0 * mu_x * mu_y + c1) / (mu_x ** 2 + mu_y ** 2 + c1)
-    cs = (2.0 * xy + c2) / (xx + yy + c2)
+    lum = (2.0 * mu_x * mu_y + _C1) / (mu_x ** 2 + mu_y ** 2 + _C1)
+    cs = (2.0 * xy + _C2) / (xx + yy + _C2)
     return float(np.mean(lum * cs))
 
 
-def ssim(x, y, peak: float = 1.0) -> float:
-    """Mean local SSIM over valid window positions, averaged over channels."""
+def ssim(x, y) -> float:
+    """Mean local SSIM (peak 1) over valid windows, averaged over channels."""
     xa, ya = _as_image(x), _as_image(y)
     if xa.shape != ya.shape:
         raise ShapeError(f"shape mismatch: {xa.shape} vs {ya.shape}")
@@ -81,11 +81,8 @@ def ssim(x, y, peak: float = 1.0) -> float:
         raise ShapeError(
             f"image {xa.shape[1]}x{xa.shape[2]} smaller than the "
             f"{SSIM_WINDOW}x{SSIM_WINDOW} window")
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
     k = gaussian_window()
-    return float(np.mean([_ssim_channel(xc, yc, c1, c2, k)
-                          for xc, yc in zip(xa, ya)]))
+    return float(np.mean([_ssim_channel(xc, yc, k) for xc, yc in zip(xa, ya)]))
 
 
 @dataclass

@@ -99,7 +99,7 @@ def cnn_forward(x: Tensor, net: PurifierNet) -> Tensor:
     for i in range(1, N_STAGES + 1):
         skips.append(feat)
         feat = maxpool2d(feat)
-        feat = conv2d(feat, p[f"enc{i}.w"], p[f"enc{i}.b"], padding=1)
+        feat = conv2d(feat, p[f"enc{i}.w"], p[f"enc{i}.b"])
         feat = instance_norm(feat, p[f"enc{i}.gain"], p[f"enc{i}.bias"])
         feat = gelu(feat)  # its own statement: no_grad frees the conv output first
 
@@ -110,11 +110,11 @@ def cnn_forward(x: Tensor, net: PurifierNet) -> Tensor:
         feat = upsample_bilinear2x(feat)
         feat = crop2d(feat, skip.shape[2], skip.shape[3])
         feat = concat_channels([feat, skip])
-        feat = conv2d(feat, p[f"dec{i}.w"], p[f"dec{i}.b"], padding=1)
+        feat = conv2d(feat, p[f"dec{i}.w"], p[f"dec{i}.b"])
         feat = instance_norm(feat, p[f"dec{i}.gain"], p[f"dec{i}.bias"])
         feat = gelu(feat)  # its own statement: no_grad frees the conv output first
 
-    head = conv2d(feat, p["head.w"], p["head.b"], padding=1)
+    head = conv2d(feat, p["head.w"], p["head.b"])
     return head + x
 
 

@@ -3,8 +3,8 @@
 Tensors wrap numpy arrays (float32 by default, float64 for high-precision
 gradient checks) and record a computation graph when gradients are enabled.
 The operation set is exactly what the dehazing pipeline needs: elementwise
-arithmetic, reductions, 2d convolution, pooling, bilinear upsampling,
-instance normalization, and a sigmoid-gated spatial attention.
+arithmetic, reductions, size-preserving 2d convolution, pooling, bilinear
+upsampling, instance normalization, and a sigmoid-gated spatial attention.
 """
 
 from __future__ import annotations
@@ -222,8 +222,9 @@ class Tensor:
 
     def sigmoid(self):
         x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        s = np.where(x >= 0, 1.0 / d, e / d)
         s = s.astype(x.dtype, copy=False)
         return Tensor._result(s, (self,), "sigmoid",
                               lambda g: self._accumulate(g * s * (1.0 - s)))
@@ -270,77 +271,72 @@ def gelu(x: Tensor) -> Tensor:
 _STRIP_ELEMS = 1 << 18
 
 
-def _column_blocks(x: np.ndarray, kh: int, kw: int, pad: int):
-    # im2col of a (B, C, H, W) input zero-padded by `pad` on each side (a
-    # negative pad crops), in strips of output rows: yields (r0, r1, cols)
-    # with cols the (B, C*kh*kw, (r1-r0)*Wo) columns of output rows r0:r1.
-    # A strip's padded rows are staged in a slab that rolls down the image,
-    # so no padded copy of the input is made; the slab and the column
-    # buffer are reused, so each strip must be consumed before the next.
-    if pad < 0:
-        x, pad = x[:, :, -pad:pad, -pad:pad], 0
+def _column_blocks(x: np.ndarray, k: int):
+    # im2col of a (B, C, H, W) input zero-padded by k // 2 on each side, in
+    # strips of output rows: yields (r0, r1, cols) with cols the
+    # (B, C*k*k, (r1-r0)*W) columns of output rows r0:r1 (odd k: the output
+    # is H x W). A strip's padded rows are staged in a slab that rolls down
+    # the image, so no padded copy of the input is made; the slab and the
+    # column buffer are reused, so each strip must be consumed before the next.
     b, c, h, w = x.shape
-    ho, wo = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    k = c * kh * kw
-    rows = max(1, min(ho, _STRIP_ELEMS // (b * k * wo)))
+    pad, n_col = k // 2, c * k * k
+    rows = max(1, min(h, _STRIP_ELEMS // (b * n_col * w)))
     # slab row i holds input row r0 + i - pad; rows above the image are
     # only ever zero, rows below it are zeroed as the slab reaches them
-    slab = np.zeros((b, c, rows + kh - 1, w + 2 * pad), dtype=x.dtype)
+    slab = np.zeros((b, c, rows + k - 1, w + 2 * pad), dtype=x.dtype)
     s0, s1, s2, s3 = slab.strides
     win = np.lib.stride_tricks.as_strided(
-        slab, (b, c, kh, kw, rows, wo), (s0, s1, s2, s3, s2, s3), writeable=False)
-    buf = np.empty(b * k * rows * wo, dtype=x.dtype)
-    for r0 in range(0, ho, rows):
-        r1 = min(r0 + rows, ho)
-        n, top = r1 - r0 + kh - 1, 0
-        if r0:  # the kh-1 rows shared with the last strip move up
-            slab[:, :, :kh - 1] = slab[:, :, rows:rows + kh - 1]
-            top = kh - 1
+        slab, (b, c, k, k, rows, w), (s0, s1, s2, s3, s2, s3), writeable=False)
+    buf = np.empty(b * n_col * rows * w, dtype=x.dtype)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        n, top = r1 - r0 + k - 1, 0
+        if r0:  # the k-1 rows shared with the last strip move up
+            slab[:, :, :k - 1] = slab[:, :, rows:rows + k - 1]
+            top = k - 1
         i0 = max(r0 + top - pad, 0)
         i1 = max(min(r0 + n - pad, h), i0)
         slab[:, :, i0 - r0 + pad:i1 - r0 + pad, pad:pad + w] = x[:, :, i0:i1]
         slab[:, :, max(i1 - r0 + pad, top):n] = 0
-        cols = buf[:b * k * (r1 - r0) * wo].reshape(b, c, kh, kw, r1 - r0, wo)
+        cols = buf[:b * n_col * (r1 - r0) * w].reshape(b, c, k, k, r1 - r0, w)
         np.copyto(cols, win[:, :, :, :, :r1 - r0])
-        yield r0, r1, cols.reshape(b, k, (r1 - r0) * wo)
+        yield r0, r1, cols.reshape(b, n_col, (r1 - r0) * w)
 
 
-def _correlate(x: np.ndarray, kernel: np.ndarray, pad: int) -> np.ndarray:
-    # stride-1 cross-correlation of (B, C, H, W), zero-padded by `pad`, with
-    # (O, C, kh, kw): one BLAS gemm per strip and batch item, into the output
-    b = x.shape[0]
-    c_out, _, kh, kw = kernel.shape
-    ho, wo = x.shape[2] + 2 * pad - kh + 1, x.shape[3] + 2 * pad - kw + 1
-    out = np.empty((b, c_out, ho * wo), dtype=np.result_type(x, kernel))
+def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    # stride-1 "same" cross-correlation of (B, C, H, W) with (O, C, k, k):
+    # one BLAS gemm per strip and batch item, into the output
+    b, _, h, w = x.shape
+    c_out, _, k, _ = kernel.shape
+    out = np.empty((b, c_out, h * w), dtype=np.result_type(x, kernel))
     w2 = kernel.reshape(c_out, -1)
-    for r0, r1, cols in _column_blocks(x, kh, kw, pad):
-        np.matmul(w2, cols, out=out[:, :, r0 * wo:r1 * wo])
-    return out.reshape(b, c_out, ho, wo)
+    for r0, r1, cols in _column_blocks(x, k):
+        np.matmul(w2, cols, out=out[:, :, r0 * w:r1 * w])
+    return out.reshape(b, c_out, h, w)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
-           padding: int = 0) -> Tensor:
-    """2d cross-correlation, stride 1. Kernels are square (1x1 or 3x3 here).
+def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """2d cross-correlation, stride 1, with a square odd-sided kernel (1x1 or
+    3x3 here) zero-padded by k // 2, so the output keeps the input's size.
 
     The input gradient is the transposed convolution: the output gradient,
-    zero-padded by k-1-padding on each side (cropped where padding > k-1)
-    and correlated with the flipped, channel-swapped kernel, is the input's
-    gradient. No padded copy of an array is made: the strips pad as they go.
+    padded by k // 2 as well, correlated with the flipped, channel-swapped
+    kernel. No padded copy of an array is made: the strips pad as they go.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d expects a rank-4 input, got shape {x.shape}")
-    if weight.data.ndim != 4 or weight.data.shape[2] != weight.data.shape[3]:
-        raise ShapeError(f"conv2d expects a square rank-4 kernel, got shape {weight.shape}")
+    kshape = weight.data.shape
+    if len(kshape) != 4 or kshape[2] != kshape[3] or kshape[2] % 2 == 0:
+        raise ShapeError(f"conv2d expects a square odd-sided rank-4 kernel, got shape {kshape}")
     b, c_in, h, w = x.data.shape
-    c_out, c_k, k, _ = weight.data.shape
+    c_out, c_k, k, _ = kshape
     if c_k != c_in:
         raise ShapeError(
             f"kernel expects {c_k} input channels, input has {c_in}")
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if hp < k or wp < k:
-        raise ShapeError(f"kernel {k}x{k} larger than padded input {hp}x{wp}")
+    if h < 1 or w < 1:
+        raise ShapeError(f"conv2d input has an empty spatial axis: {h}x{w}")
 
-    out_data = _correlate(x.data, weight.data, padding)
+    out_data = _correlate(x.data, weight.data)
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
 
@@ -348,17 +344,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
         if wt.requires_grad:
             # the same strips as the forward, built again: the graph keeps
             # neither the columns nor a padded copy of the input
-            g2, wo = g.reshape(b, c_out, -1), g.shape[3]
+            g2 = g.reshape(b, c_out, -1)
             gw = np.zeros((c_out, c_in * k * k), dtype=g.dtype)
-            for r0, r1, cols in _column_blocks(a.data, k, k, padding):
-                gs = g2[:, :, r0 * wo:r1 * wo]
+            for r0, r1, cols in _column_blocks(a.data, k):
+                gs = g2[:, :, r0 * w:r1 * w]
                 gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
             wt._accumulate(gw.reshape(wt.data.shape))
         if bt is not None and bt.requires_grad:
             bt._accumulate(g.sum(axis=(0, 2, 3)))
         if a.requires_grad:
-            a._accumulate(_correlate(
-                g, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), k - 1 - padding))
+            a._accumulate(_correlate(g, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(out_data, parents, "conv2d", _bwd)
@@ -439,12 +434,12 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
         _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2)))
 
 
-def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def instance_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-(batch, channel) normalization with learnable per-channel affine.
 
     Zero-variance channels (including the degenerate 1x1 spatial case) are
-    guarded by eps and normalize to zero, so the output collapses to the
-    affine bias there.
+    guarded by an eps of 1e-5 and normalize to zero, so the output
+    collapses to the affine bias there.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm expects a rank-4 input, got shape {x.shape}")
@@ -454,7 +449,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> T
 
     mu = x.data.mean(axis=(2, 3), keepdims=True)
     var = x.data.var(axis=(2, 3), keepdims=True, mean=mu)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     inv = inv.astype(x.data.dtype, copy=False)
     out_data = x.data - mu  # ((x - mu) * inv) * gain + bias, in one buffer
     out_data *= inv
@@ -510,7 +505,7 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
 
 def spatial_attention(features: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Sigmoid gate from a 3x3 conv, broadcast-multiplied onto the features."""
-    gate = conv2d(features, weight, bias, padding=(weight.shape[2] - 1) // 2)
+    gate = conv2d(features, weight, bias)
     if gate.shape[1] != 1:
         raise ShapeError("attention conv must produce a single-channel map")
     return features * gate.sigmoid()

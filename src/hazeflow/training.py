@@ -61,14 +61,13 @@ class AdamW:
     is zero or missing.
     """
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 weight_decay: float = 1e-4, betas: tuple = (0.9, 0.999),
-                 eps: float = 1e-8):
+                 weight_decay: float = 1e-4):
         self.params = dict(params)
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.state = OptState(
             m={n: np.zeros_like(p.data) for n, p in self.params.items()},
             v={n: np.zeros_like(p.data) for n, p in self.params.items()},
@@ -112,15 +111,6 @@ class ReduceLROnPlateau:
                 self.lr *= self.factor
                 self.bad_epochs = 0
         return self.lr
-
-
-def plateau_schedule(history: Sequence[float], lr: float,
-                     patience: int = 100, factor: float = 0.5) -> float:
-    """Learning rate after replaying a validation-loss history."""
-    sched = ReduceLROnPlateau(lr, patience=patience, factor=factor)
-    for value in history:
-        sched.step(value)
-    return sched.lr
 
 
 # ---------------------------------------------------------------------------

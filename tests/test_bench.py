@@ -2,7 +2,7 @@
 
 import pytest
 
-from hazeflow.bench import conv_macs, pipeline_macs, purifier_macs, run_bench
+from hazeflow.bench import conv_macs, purifier_macs, run_bench
 from hazeflow.flow import FIELD_EVALS, FlowConfig
 from hazeflow.tiling import TilePlan, tile_spans
 
@@ -18,7 +18,9 @@ def test_rk4_doubles_evals_with_steps():
     evals4 = FIELD_EVALS[cfg4.solver] * cfg4.steps
     evals8 = FIELD_EVALS[cfg8.solver] * cfg8.steps
     assert (evals4, evals8) == (16, 32)
-    assert pipeline_macs(8, 64, 64, cfg8) == 2 * pipeline_macs(8, 64, 64, cfg4)
+    report4 = run_bench(16, 16, cfg4, net_width=2, lut_size=3)
+    report8 = run_bench(16, 16, cfg8, net_width=2, lut_size=3)
+    assert report8.total_macs == 2 * report4.total_macs
 
 
 def test_euler_uses_one_eval_per_step_vs_rk4_four():
@@ -83,4 +85,5 @@ def test_tiled_macs_count_every_tile_with_overlap():
     per_eval = 6 * sum(purifier_macs(4, 48, 48).values())
     assert report.macs_per_eval == per_eval
     assert report.total_macs == per_eval * 2
-    assert report.total_macs > pipeline_macs(4, 70, 90, cfg)
+    untiled = sum(purifier_macs(4, 70, 90).values()) * 2
+    assert report.total_macs > untiled

@@ -185,6 +185,9 @@ _BAD_CHECKPOINT_FIELDS = {
     "lut_without_grid": _drop_lut_grid,
     "flow_solver_heun": lambda h: h["flow"].update(solver="heun"),
     "flow_steps_0": lambda h: h["flow"].update(steps=0),
+    # the time range is fixed to [0, 1]; the header still carries it
+    "flow_t1_2": lambda h: h["flow"].update(t1=2.0),
+    "flow_t0_missing": lambda h: h["flow"].pop("t0"),
     # would ask the reader for 4 TiB before the size check
     "forged_size": lambda h: h["tensors"][0].update(shape=[2**40]),
 }
@@ -240,6 +243,10 @@ _BAD_CONFIGS = {
     "bench_negative_seed": ["bench", "--seed", "-1"],
     "dehaze_negative_seed": ["dehaze", "--seed", "-1"],
     "train_negative_seed": ["train", "--seed", "-1"],
+    "bench_height_0": ["bench", "--height", "0"],
+    "bench_width_negative": ["bench", "--width", "-1"],
+    # smaller than the 11-pixel SSIM window that scores every row
+    "ablate_size_8": ["ablate", "--size", "8"],
 }
 
 
@@ -249,7 +256,8 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     paths = {"dehaze": [str(hazy_ppm), str(tmp_path / "out.ppm")],
              "bench": ["--height", "8", "--tile", "0"],
              "train": ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
-                       "--synth-size", "8"]}[cmd]
+                       "--synth-size", "8"],
+             "ablate": ["solver", "--epochs", "1", "--pairs", "1"]}[cmd]
     rc = main([cmd, *paths, "--width", "4", "--lut-size", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 1
@@ -408,6 +416,21 @@ def test_train_checks_its_outputs_before_the_first_epoch(tmp_path, capsys, flag)
     assert missing in err and ".tmp" not in err
     assert out == ""  # neither the data set line nor any epoch line
     assert not (tmp_path / "absent").exists()
+
+
+def test_train_rejects_a_directory_as_out_before_the_first_epoch(tmp_path, capsys):
+    out_dir = tmp_path / "ck.hzf"
+    out_dir.mkdir()
+    argv = ["train", "--epochs", "3", "--synth-pairs", "2", "--synth-size", "8",
+            "--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1",
+            "--out", str(out_dir)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "--out" in err and str(out_dir) in err and ".tmp" not in err
+    assert out == ""
+    assert os.listdir(out_dir) == []
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)

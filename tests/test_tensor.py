@@ -30,17 +30,19 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_3x3_ones_kernel_center_sum(self):
+        # zero padding: the centre sees all nine ones, a corner four
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-        out = conv2d(x, w, padding=0)
-        assert out.shape == (1, 1, 1, 1)
-        assert out.data[0, 0, 0, 0] == pytest.approx(9.0)
+        out = conv2d(x, w)
+        assert out.shape == (1, 1, 3, 3)
+        assert out.data[0, 0, 1, 1] == pytest.approx(9.0)
+        assert out.data[0, 0, 0, 0] == pytest.approx(4.0)
 
     def test_zero_kernel_bias_only(self, rng):
         x = tensor(rng, (1, 3, 4, 4))
         w = Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
         b = Tensor(np.array([0.25, -1.5], dtype=np.float32))
-        out = conv2d(x, w, b, padding=1)
+        out = conv2d(x, w, b)
         assert np.all(out.data[0, 0] == np.float32(0.25))
         assert np.all(out.data[0, 1] == np.float32(-1.5))
 
@@ -51,16 +53,19 @@ class TestConv2d:
             conv2d(x, w)
 
     def test_non_square_kernel_raises(self, rng):
-        # the input gradient pads both axes by one k-1-padding
-        with pytest.raises(ShapeError, match="square"):
-            conv2d(tensor(rng, (1, 3, 4, 4)), tensor(rng, (2, 3, 3, 1)), padding=1)
+        # the padding k // 2 keeps the size only for square odd-sided kernels
+        for kshape in [(2, 3, 3, 1), (2, 3, 2, 2), (2, 3, 3)]:
+            with pytest.raises(ShapeError, match="square odd-sided"):
+                conv2d(tensor(rng, (1, 3, 4, 4)), tensor(rng, kshape))
+
+    def test_empty_spatial_axis_raises(self, rng):
+        with pytest.raises(ShapeError, match="empty"):
+            conv2d(tensor(rng, (1, 3, 0, 4)), tensor(rng, (2, 3, 3, 3)))
 
     def test_same_padding_preserves_size(self, rng):
         x = tensor(rng, (1, 3, 11, 13))
-        w3 = tensor(rng, (5, 3, 3, 3))
-        w1 = tensor(rng, (5, 3, 1, 1))
-        assert conv2d(x, w3, padding=1).shape == (1, 5, 11, 13)
-        assert conv2d(x, w1, padding=0).shape == (1, 5, 11, 13)
+        for k in (1, 3, 5):
+            assert conv2d(x, tensor(rng, (5, 3, k, k))).shape == (1, 5, 11, 13)
 
 
 class TestGelu:
@@ -254,7 +259,7 @@ _RECORDING_OPS = {
     "sum": (Tensor.sum, [_X]),
     "mean": (Tensor.mean, [_X]),
     "gelu": (gelu, [_X]),
-    "conv2d": (lambda x, w, b: conv2d(x, w, b, padding=1), [_X, (2, 3, 3, 3), (2,)]),
+    "conv2d": (conv2d, [_X, (2, 3, 3, 3), (2,)]),
     "maxpool2d": (maxpool2d, [_X]),
     "upsample_bilinear2x": (upsample_bilinear2x, [_X]),
     "instance_norm": (instance_norm, [_X, (3,), (3,)]),
@@ -310,7 +315,7 @@ def _build_case(name, rng):
         x, w, b = (tensor(rng, (2, 3, 5, 5)), tensor(rng, (4, 3, 3, 3)),
                    tensor(rng, (4,)))
         r = probe((2, 4, 5, 5))
-        return lambda: (conv2d(x, w, b, padding=1) * r).mean(), [x, w, b]
+        return lambda: (conv2d(x, w, b) * r).mean(), [x, w, b]
     if name == "conv1x1":
         x, w, b = (tensor(rng, (1, 3, 4, 4)), tensor(rng, (2, 3, 1, 1)),
                    tensor(rng, (2,)))
@@ -387,7 +392,7 @@ def test_shape_algebra(h, w, c_in, c_out):
     rng = np.random.default_rng(h * 100 + w)
     x = Tensor(rng.uniform(0, 1, (1, c_in, h, w)).astype(np.float32))
     k3 = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)).astype(np.float32))
-    assert conv2d(x, k3, padding=1).shape == (1, c_out, h, w)
+    assert conv2d(x, k3).shape == (1, c_out, h, w)
     assert maxpool2d(x).shape == (1, c_in, (h + h % 2) // 2, (w + w % 2) // 2)
     assert upsample_bilinear2x(x).shape == (1, c_in, 2 * h, 2 * w)
 
@@ -399,7 +404,7 @@ def test_deterministic_forward_backward():
                    requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        out = gelu(conv2d(x, w, padding=1))
+        out = gelu(conv2d(x, w))
         loss = (maxpool2d(out)).abs().mean()
         loss.backward()
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -418,7 +423,7 @@ def test_ops_produce_finite_values(seed):
     w = Tensor(rng.uniform(-2, 2, (2, 3, 3, 3)).astype(np.float32))
     g = Tensor(rng.uniform(-2, 2, (2,)).astype(np.float32))
     b = Tensor(rng.uniform(-2, 2, (2,)).astype(np.float32))
-    out = instance_norm(conv2d(x, w, padding=1), g, b)
+    out = instance_norm(conv2d(x, w), g, b)
     out = upsample_bilinear2x(maxpool2d(gelu(out)))
     assert np.all(np.isfinite(out.data))
 
@@ -459,33 +464,30 @@ def test_upsample_gradient_at_unit_and_odd_sizes(shape):
     assert _gradcheck64(lambda: (upsample_bilinear2x(x) * r).sum(), [x]) <= 1.0
 
 
-# At (2, 3, 5, 4) with a 3x3 kernel and padding 1, a strip row of the
-# forward columns holds 2*27*4 = 216 elements and one of the input
-# gradient's (2 channels, g padded to 9x8) 2*18*6 = 216: a budget of 1
-# gives 1-row strips, one of 432 gives 2-row strips with a short last strip
-# (5 rows = 2+2+1 forward, 7 rows = 2+2+2+1 backward).
-@pytest.mark.parametrize("kernel,padding,strip_elems", [
-    pytest.param(3, 0, None, id="3-0"),
-    pytest.param(3, 2, None, id="3-2"),
-    pytest.param(1, 1, None, id="1-1"),
-    pytest.param(3, 1, 1, id="3-1-one-row-strips"),
-    pytest.param(3, 1, 432, id="3-1-short-last-strip"),
+# At (2, 3, 5, 4) with a 3x3 kernel, a strip row of the forward columns
+# holds 2*27*4 = 216 elements and one of the input gradient's (2 channels)
+# 2*18*4 = 144: a budget of 1 gives 1-row strips, one of 432 gives 2-row
+# forward strips with a short last strip (2+2+1) and 3-row input-gradient
+# strips (3+2).
+@pytest.mark.parametrize("kernel,strip_elems", [
+    pytest.param(1, None, id="1-0"),
+    pytest.param(5, None, id="5-2"),
+    pytest.param(3, 1, id="3-1-one-row-strips"),
+    pytest.param(3, 432, id="3-1-short-last-strip"),
 ])
-def test_conv2d_gradient_pad_and_crop(monkeypatch, kernel, padding, strip_elems):
-    # the input gradient is a correlation of g padded by k-1, then cropped
-    # by `padding`: the cases crop less than, exactly and more than k-1;
-    # the weight gradient sums one GEMM per strip of output rows
+def test_conv2d_gradient_pad_and_crop(monkeypatch, kernel, strip_elems):
+    # ids are kernel-padding: the input gradient is a correlation of g
+    # padded by k // 2 again; the weight gradient sums one GEMM per strip
+    # of output rows
     if strip_elems is not None:
         monkeypatch.setattr(tensor_mod, "_STRIP_ELEMS", strip_elems)
-    rng = np.random.default_rng(10 * kernel + padding)
+    rng = np.random.default_rng(10 * kernel + kernel // 2)
     x = Tensor(rng.uniform(-1, 1, (2, 3, 5, 4)), requires_grad=True, dtype=np.float64)
     w = Tensor(rng.uniform(-1, 1, (2, 3, kernel, kernel)), requires_grad=True,
                dtype=np.float64)
     b = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True, dtype=np.float64)
-    out_shape = conv2d(x, w, b, padding=padding).shape
-    r = rng.uniform(-1, 1, out_shape)
-    assert _gradcheck64(lambda: (conv2d(x, w, b, padding=padding) * r).sum(),
-                        [x, w, b]) <= 1.0
+    r = rng.uniform(-1, 1, (2, 2, 5, 4))
+    assert _gradcheck64(lambda: (conv2d(x, w, b) * r).sum(), [x, w, b]) <= 1.0
 
 
 def _conv_reference(x, w, b, padding):
@@ -507,8 +509,8 @@ def test_conv2d_strips_match_unblocked_reference(monkeypatch, batch, rows, strip
     seen = []
     blocks = tensor_mod._column_blocks
 
-    def spy(x, kh, kw, pad):
-        for r0, r1, cols in blocks(x, kh, kw, pad):
+    def spy(x, k):
+        for r0, r1, cols in blocks(x, k):
             seen.append((r0, r1))
             yield r0, r1, cols
 
@@ -517,7 +519,7 @@ def test_conv2d_strips_match_unblocked_reference(monkeypatch, batch, rows, strip
     x = rng.uniform(-1, 1, (batch, 3, 7, 5))
     w = rng.uniform(-1, 1, (4, 3, 3, 3))
     b = rng.uniform(-1, 1, (4,))
-    out = conv2d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
     assert seen == strips
     np.testing.assert_allclose(out, _conv_reference(x, w, b, 1), rtol=0, atol=1e-12)
 
@@ -532,7 +534,7 @@ def test_conv2d_keeps_no_full_column_matrix():
     tracemalloc.start()
     try:
         with no_grad():
-            out = conv2d(x, w, padding=1)
+            out = conv2d(x, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -540,9 +542,10 @@ def test_conv2d_keeps_no_full_column_matrix():
     assert peak < output + padded // 4
 
 
-def _padded_conv_reference(x, w, b, g, padding):
-    # forward, weight gradient and input gradient from np.pad copies, in the
-    # engine's strips and GEMMs, so float32 results must match bit for bit
+def _padded_conv_reference(x, w, b, g):
+    # forward, weight gradient and input gradient from np.pad copies (pad
+    # k // 2, and k - 1 - k // 2 for the gradient), in the engine's strips
+    # and GEMMs, so float32 results must match bit for bit
     def correlate(xp, kern, wgrad=None):
         bsz, c, hp, wp = xp.shape
         k = kern.shape[2]
@@ -562,45 +565,42 @@ def _padded_conv_reference(x, w, b, g, padding):
         return out.reshape(bsz, -1, ho, wo), gw.reshape(kern.shape)
 
     k = w.shape[2]
+    padding = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2))
     out, gw = correlate(xp, w, g)
-    crop = max(padding - k + 1, 0)
-    gp = np.pad(g[:, :, crop:g.shape[2] - crop, crop:g.shape[3] - crop],
-                ((0, 0), (0, 0), (k - 1 - padding + crop,) * 2,
-                 (k - 1 - padding + crop,) * 2))
+    gp = np.pad(g, ((0, 0), (0, 0), (k - 1 - padding,) * 2, (k - 1 - padding,) * 2))
     gx, _ = correlate(gp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     return out + b.reshape(1, -1, 1, 1), gw, gx
 
 
 # (2, 3, 7, 5) at 3x3: a forward strip row is 2*27*5 = 270 elements and an
 # input-gradient one 2*36*5 = 360, so a budget of 810 gives 3-row forward
-# strips (3+3+1) and 2-row input-gradient strips (2+2+2+1)
-@pytest.mark.parametrize("shape,kernel,padding,strip_elems", [
-    pytest.param((2, 3, 7, 5), 3, 0, None, id="pad0"),
-    pytest.param((2, 3, 7, 5), 3, 1, None, id="pad1"),
-    pytest.param((2, 3, 7, 5), 3, 2, None, id="pad2"),
-    pytest.param((2, 3, 7, 5), 1, 1, None, id="1x1-pad1-crop"),
-    pytest.param((2, 3, 7, 5), 3, 1, 1, id="pad1-one-row-strips"),
-    pytest.param((2, 3, 7, 5), 3, 2, 1, id="pad2-one-row-strips"),
-    pytest.param((1, 3, 6, 4), 1, 1, 1, id="1x1-pad1-one-row-strips"),
-    pytest.param((2, 3, 7, 5), 3, 1, 810, id="short-last-strip"),
-    pytest.param((1, 3, 2, 6), 3, 1, None, id="input-shorter-than-strip"),
-    pytest.param((1, 3, 1, 6), 3, 1, None, id="h1"),
-    pytest.param((1, 3, 1, 4), 3, 2, 1, id="h1-pad2-one-row-strips"),
+# strips (3+3+1) and 2-row input-gradient strips (2+2+2+1). The ids name
+# the padding k // 2 of a 1x1, 3x3 or 5x5 kernel.
+@pytest.mark.parametrize("shape,kernel,strip_elems", [
+    pytest.param((2, 3, 7, 5), 1, None, id="pad0"),
+    pytest.param((2, 3, 7, 5), 3, None, id="pad1"),
+    pytest.param((2, 3, 7, 5), 5, None, id="pad2"),
+    pytest.param((2, 3, 7, 5), 3, 1, id="pad1-one-row-strips"),
+    pytest.param((2, 3, 7, 5), 5, 1, id="pad2-one-row-strips"),
+    pytest.param((1, 3, 6, 4), 1, 1, id="1x1-pad0-one-row-strips"),
+    pytest.param((2, 3, 7, 5), 3, 810, id="short-last-strip"),
+    pytest.param((1, 3, 2, 6), 3, None, id="input-shorter-than-strip"),
+    pytest.param((1, 3, 1, 6), 3, None, id="h1"),
+    pytest.param((1, 3, 1, 4), 5, 1, id="h1-pad2-one-row-strips"),
 ])
-def test_conv2d_matches_padded_reference_bitwise(monkeypatch, shape, kernel, padding,
-                                                 strip_elems):
+def test_conv2d_matches_padded_reference_bitwise(monkeypatch, shape, kernel, strip_elems):
     if strip_elems is not None:
         monkeypatch.setattr(tensor_mod, "_STRIP_ELEMS", strip_elems)
-    rng = np.random.default_rng(sum(shape) + kernel + padding)
+    rng = np.random.default_rng(sum(shape) + kernel + kernel // 2)
     x = Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (4, shape[1], kernel, kernel)).astype(np.float32),
                requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (4,)).astype(np.float32))
-    out = conv2d(x, w, b, padding=padding)
+    out = conv2d(x, w, b)
     g = rng.uniform(-1, 1, out.shape).astype(np.float32)
     out.backward(g)
-    want_out, want_gw, want_gx = _padded_conv_reference(x.data, w.data, b.data, g, padding)
+    want_out, want_gw, want_gx = _padded_conv_reference(x.data, w.data, b.data, g)
     assert out.data.dtype == x.grad.dtype == w.grad.dtype == np.float32
     assert np.array_equal(out.data, want_out)
     assert np.array_equal(w.grad, want_gw)

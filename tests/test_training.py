@@ -14,7 +14,7 @@ from hazeflow.purifier import PurifierNet
 from hazeflow.tensor import Tensor
 from hazeflow.training import (AdamW, ReduceLROnPlateau, TrainConfig,
                                history_table, l1_loss, make_toy_dataset,
-                               plateau_schedule, synth_haze, train_loop)
+                               synth_haze, train_loop)
 
 
 def _fixture_width_step():
@@ -139,9 +139,10 @@ class TestAdamW:
 
 class TestPlateauScheduler:
     def test_full_plateau_halves(self):
-        history = [1.0] + [1.0] * 100
-        assert plateau_schedule(history, 1e-3, patience=100) == \
-            pytest.approx(5e-4)
+        sched = ReduceLROnPlateau(1e-3, patience=100)
+        for value in [1.0] + [1.0] * 100:
+            sched.step(value)
+        assert sched.lr == pytest.approx(5e-4)
 
     def test_improvement_resets_counter(self):
         sched = ReduceLROnPlateau(1e-3, patience=100)
@@ -153,9 +154,10 @@ class TestPlateauScheduler:
         assert sched.lr == 1e-3 and sched.bad_epochs == 0
 
     def test_two_plateaus_quarter(self):
-        history = [1.0] + [1.0] * 200
-        assert plateau_schedule(history, 1e-3, patience=100) == \
-            pytest.approx(2.5e-4)
+        sched = ReduceLROnPlateau(1e-3, patience=100)
+        for value in [1.0] + [1.0] * 200:
+            sched.step(value)
+        assert sched.lr == pytest.approx(2.5e-4)
 
     def test_equal_value_is_not_improvement(self):
         sched = ReduceLROnPlateau(1.0, patience=2)
