@@ -23,7 +23,7 @@ from .training import TrainConfig, make_toy_dataset, train_loop
 SUITES = ("lut", "lambda", "solver")
 LUT_SETTINGS = ("removed", "fixed", "learnable")
 LAMBDA_SETTINGS = (0.1, 0.5, 1.0)
-LAMBDA, LR, BATCH_SIZE = 0.5, 3e-3, 4  # every row's, lambda outside its own suite
+LAMBDA, LR, BATCH_SIZE = 0.5, 3e-3, 4  # shared by every row; LAMBDA outside the lambda suite
 
 
 @dataclass
