@@ -10,13 +10,10 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hazeflow import (SOLVERS, FlowConfig, Tensor, TrainConfig, dehaze,
-                      integrate, make_toy_dataset, no_grad, psnr, ssim,
-                      train_loop)
+from hazeflow import (SOLVERS, FlowConfig, TrainConfig, dehaze,
+                      evaluate_pairs, make_toy_dataset, train_loop)
 from hazeflow.checkpoint import save_checkpoint
 from hazeflow.imgio import save_image
 from hazeflow.training import history_table
@@ -43,10 +40,8 @@ def main():
     os.makedirs(args.out_dir, exist_ok=True)
 
     hazy, clean = make_toy_dataset(args.pairs, args.size, args.seed)
-    n = hazy.shape[0]
-    base_psnr = np.mean([psnr(hazy[i], clean[i]) for i in range(n)])
-    base_ssim = np.mean([ssim(hazy[i], clean[i]) for i in range(n)])
-    print(f"hazy baseline: psnr {base_psnr:.2f} dB  ssim {base_ssim:.4f}")
+    base = evaluate_pairs(hazy, clean)
+    print(f"hazy baseline: psnr {base.mean_psnr:.2f} dB  ssim {base.mean_ssim:.4f}")
 
     cfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
     flow_cfg = FlowConfig(solver=args.solver, steps=args.steps, lam=args.lam)
@@ -54,12 +49,10 @@ def main():
                         lut_size=args.lut_size)
     result.restore_best()
 
-    out = dehaze(hazy, result.net, result.lut, flow_cfg)
-    out_psnr = np.mean([psnr(out[i], clean[i]) for i in range(n)])
-    out_ssim = np.mean([ssim(out[i], clean[i]) for i in range(n)])
-    print(f"dehazed:       psnr {out_psnr:.2f} dB  ssim {out_ssim:.4f}")
-    print(f"gain:          {out_psnr - base_psnr:+.2f} dB  "
-          f"{out_ssim - base_ssim:+.4f}")
+    out = evaluate_pairs(dehaze(hazy, result.net, result.lut, flow_cfg), clean)
+    print(f"dehazed:       psnr {out.mean_psnr:.2f} dB  ssim {out.mean_ssim:.4f}")
+    print(f"gain:          {out.mean_psnr - base.mean_psnr:+.2f} dB  "
+          f"{out.mean_ssim - base.mean_ssim:+.4f}")
 
     with open(os.path.join(args.out_dir, "loss_history.txt"), "w") as fh:
         fh.write(history_table(result.history) + "\n")
@@ -70,13 +63,10 @@ def main():
                     metadata={"seed": args.seed,
                               "best_val_loss": result.best_val})
 
-    with no_grad():
-        traced = integrate(Tensor(hazy[:1]), result.net, result.lut,
-                           flow_cfg, record_trajectory=True)
+    frames = dehaze(hazy[:1], result.net, result.lut, flow_cfg, trajectory=True)
     save_image(hazy[:1], os.path.join(args.out_dir, "step_000.png"))
-    for i, state in enumerate(traced.trajectory, start=1):
-        save_image(state.clamp(0.0, 1.0),
-                   os.path.join(args.out_dir, f"step_{i:03d}.png"))
+    for i, frame in enumerate(frames, start=1):
+        save_image(frame, os.path.join(args.out_dir, f"step_{i:03d}.png"))
     save_image(clean[:1], os.path.join(args.out_dir, "target.png"))
     print(f"checkpoint and trajectory written to {args.out_dir}/")
 

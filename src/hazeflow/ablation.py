@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError
 from .flow import SOLVERS, FlowConfig
 from .lut import Lut3D, fixed_contrast_saturation_lut, identity_lut
-from .metrics import SSIM_WINDOW, psnr, ssim
+from .metrics import SSIM_WINDOW, evaluate_pairs
 from .tiling import dehaze
 from .training import TrainConfig, make_toy_dataset, train_loop
 
@@ -58,15 +58,6 @@ def grid_checksum(lut: Lut3D) -> int:
     return zlib.crc32(np.ascontiguousarray(lut.grid.data).tobytes())
 
 
-def _evaluate(net, lut, flow_cfg, hazy, clean):
-    psnrs, ssims = [], []
-    for i in range(hazy.shape[0]):
-        out = dehaze(hazy[i:i + 1], net, lut, flow_cfg)
-        psnrs.append(psnr(out, clean[i:i + 1]))
-        ssims.append(ssim(out[0], clean[i]))
-    return float(np.mean(psnrs)), float(np.mean(ssims))
-
-
 def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
              solver: str, lut: Optional[Lut3D]) -> AblationRow:
     hazy, clean = make_toy_dataset(acfg.n_pairs, acfg.size, acfg.seed)
@@ -78,10 +69,10 @@ def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
                         width=acfg.width, lut_size=acfg.lut_size)
     result.restore_best()
     after = None if result.lut is None else grid_checksum(result.lut)
-    mean_psnr, mean_ssim = _evaluate(result.net, result.lut, flow_cfg,
-                                     hazy, clean)
-    return AblationRow(suite=suite, setting=setting, mean_psnr=mean_psnr,
-                       mean_ssim=mean_ssim, final_val_l1=result.best_val,
+    report = evaluate_pairs([dehaze(h[None], result.net, result.lut, flow_cfg)
+                             for h in hazy], clean[:, None])
+    return AblationRow(suite=suite, setting=setting, mean_psnr=report.mean_psnr,
+                       mean_ssim=report.mean_ssim, final_val_l1=result.best_val,
                        grid_checksum_before=before, grid_checksum_after=after)
 
 

@@ -18,12 +18,11 @@ from .ablation import SUITES, AblationConfig, format_report, run_all, run_suite,
 from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HazeflowError
-from .flow import SOLVERS, FlowConfig, integrate
+from .flow import SOLVERS, FlowConfig
 from .imgio import load_image, save_image
 from .lut import lut_from_size
-from .metrics import MetricReport, evaluate_pairs, psnr, ssim
+from .metrics import evaluate_pairs
 from .purifier import PurifierNet
-from .tensor import Tensor, no_grad
 from .tiling import TilePlan, dehaze
 from .training import TrainConfig, history_table, make_toy_dataset, train_loop
 
@@ -121,19 +120,14 @@ def cmd_dehaze(args) -> int:
 
     if args.record_trajectory:
         os.makedirs(args.record_trajectory, exist_ok=True)
-        with no_grad():
-            result = integrate(Tensor(image), net, lut, flow_cfg,
-                               record_trajectory=True)
         save_image(image, os.path.join(args.record_trajectory, "step_000.png"))
-        for i, state in enumerate(result.trajectory, start=1):
-            save_image(state.clamp(0.0, 1.0),
-                       os.path.join(args.record_trajectory, f"step_{i:03d}.png"))
-        output = result.output.data
-    else:
-        plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
-        output = dehaze(image, net, lut, flow_cfg, plan)
+    plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
+    frames = dehaze(image, net, lut, flow_cfg, plan, bool(args.record_trajectory))
+    if args.record_trajectory:
+        for i, frame in enumerate(frames, start=1):
+            save_image(frame, os.path.join(args.record_trajectory, f"step_{i:03d}.png"))
 
-    save_image(output, args.output)
+    save_image(frames[-1], args.output)
     print(f"dehazed {args.input} -> {args.output} "
           f"({flow_cfg.solver}, {flow_cfg.steps} steps, lambda {flow_cfg.lam})")
     return 0
@@ -149,14 +143,10 @@ def cmd_eval(args) -> int:
             raise DataError("eval needs either --pred-dir or --hazy-dir")
         net, lut, flow_cfg = _load_model(args)
         names, hazy, clean = _load_pair_dirs(args.hazy_dir, args.clean_dir)
-        report = MetricReport()
-        baseline = MetricReport()
-        for name, hz, cl in zip(names, hazy, clean):
-            out = dehaze(hz, net, lut, flow_cfg)
-            report.add(name, psnr(out, cl), ssim(out[0], cl[0]))
-            baseline.add(name, psnr(hz, cl), ssim(hz[0], cl[0]))
+        outs = [dehaze(hz, net, lut, flow_cfg) for hz in hazy]
+        report = evaluate_pairs(outs, clean, names)
         print("input baseline:")
-        print(baseline.key_value_lines(prefix="input_"))
+        print(evaluate_pairs(hazy, clean, names).key_value_lines(prefix="input_"))
 
     text = report.format_table() + "\n" + report.key_value_lines()
     print(text)
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tile size for large images; 0 disables tiling")
     p.add_argument("--overlap", type=int, default=32)
     p.add_argument("--record-trajectory", default=None, metavar="DIR",
-                   help="write step_000.png .. step_NNN.png (forces untiled)")
+                   help="write step_000.png .. step_NNN.png")
     _add_model_flags(p)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_dehaze)

@@ -8,7 +8,7 @@ the unrolled solver (discretize-then-optimize).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,32 +94,29 @@ def solver_step(solver: str, x, f: Callable, t: float, dt: float,
 
 @dataclass
 class IntegrationResult:
-    """Final solver state plus the clamped image and optional snapshots."""
+    """Final solver state, the clamped image, and the state after every step."""
     raw_final: object
     output: object
-    trajectory: list = dataclass_field(default_factory=list)
+    trajectory: list
 
 
-def integrate_field(x0, field: Callable, cfg: FlowConfig,
-                    record: bool = False):
+def integrate_field(x0, field: Callable, cfg: FlowConfig):
     """Advance x0 through cfg.steps solver steps of the given field.
 
-    Returns (raw final state, list of intermediate states X_1..X_n when
-    recording). No clamping is applied here; intermediate states stay
-    free so the solver arithmetic is exact.
+    Returns (raw final state, [X_1, ..., X_n]), the state after each step;
+    the last one is the final state. No clamping is applied here; the
+    states stay free so the solver arithmetic is exact.
     """
     dt = cfg.dt
-    x = x0
-    snapshots = []
+    states = [x0]
     for i in range(cfg.steps):
-        x = solver_step(cfg.solver, x, field, i * dt, dt, step=i + 1)
-        if record:
-            snapshots.append(x)
-    return x, snapshots
+        states.append(solver_step(cfg.solver, states[-1], field, i * dt, dt,
+                                  step=i + 1))
+    return states[-1], states[1:]
 
 
 def integrate(x0: Tensor, net: PurifierNet, lut: Optional[Lut3D],
-              cfg: FlowConfig, record_trajectory: bool = False) -> IntegrationResult:
+              cfg: FlowConfig) -> IntegrationResult:
     """Run the haze-aware flow from a [0,1] image; output is clamped to [0,1].
 
     The unclamped final state is kept on the result for training losses.
@@ -134,6 +131,6 @@ def integrate(x0: Tensor, net: PurifierNet, lut: Optional[Lut3D],
     def field(t: float, x: Tensor) -> Tensor:
         return vector_field(x, net, lut, cfg.lam)
 
-    raw, snapshots = integrate_field(x0, field, cfg, record=record_trajectory)
+    raw, states = integrate_field(x0, field, cfg)
     return IntegrationResult(raw_final=raw, output=raw.clamp(0.0, 1.0),
-                             trajectory=snapshots)
+                             trajectory=states)

@@ -89,21 +89,22 @@ def blend_weight_maps(height: int, width: int, plan: TilePlan):
 
 
 def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
-    """Apply fn((1, C, th, tw) array) per tile and blend the overlaps.
+    """Apply fn((N, C, th, tw) array) per tile and blend the overlaps.
 
+    fn may return any number K of images per tile, (K, C', th, tw); each is
+    blended on its own, and the result is (K, C', H, W) in data's dtype.
     An image that fits a single tile bypasses blending entirely, so the
     result is bit-identical to fn on the whole image. Float64 sums are kept
     for one tile row; the rows above the next one are divided out as it starts.
     """
     if data.ndim == 3:
         data = data[None]
-    n, c, h, w = data.shape
+    h, w = data.shape[2:]
     if h <= plan.tile and w <= plan.tile:
         return fn(data)
 
-    out = np.empty_like(data)
     rows = min(plan.tile, h)
-    sums = np.zeros((n, c, rows, w))
+    out = sums = None  # sized from the first tile's result
     wsum = np.zeros((rows, w))
     top = 0  # the image row held in buffer row 0
     for (y0, y1), (x0, x1), wmap in _tile_weights(h, w, plan):
@@ -115,6 +116,9 @@ def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
                 buf[..., rows - done:, :] = 0.0
             top = y0
         result = fn(np.ascontiguousarray(data[:, :, y0:y1, x0:x1]))
+        if out is None:
+            out = np.empty(result.shape[:2] + (h, w), dtype=data.dtype)
+            sums = np.zeros(result.shape[:2] + (rows, w))
         sums[:, :, y0 - top:y1 - top, x0:x1] += result * wmap
         wsum[y0 - top:y1 - top, x0:x1] += wmap
     np.divide(sums, wsum, out=out[:, :, top:])
@@ -122,15 +126,21 @@ def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
 
 
 def dehaze(x, net: PurifierNet, lut: Lut3D | None, cfg: FlowConfig,
-           plan: TilePlan | None = None) -> np.ndarray:
+           plan: TilePlan | None = None, trajectory: bool = False) -> np.ndarray:
     """Integrate the flow without gradients; clamped (N, 3, H, W) output.
 
     With a plan the image is processed tile by tile and the tiles blended.
+    With trajectory the result holds the clamped state after every solver
+    step instead, step-major: (steps * N, 3, H, W), the last N of which are
+    the output.
     """
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
 
     def run(tile: np.ndarray) -> np.ndarray:
         with no_grad():
-            return integrate(Tensor(tile), net, lut, cfg).output.data
+            result = integrate(Tensor(tile), net, lut, cfg)
+            if not trajectory:
+                return result.output.data
+            return np.concatenate([s.clamp(0.0, 1.0).data for s in result.trajectory])
 
     return run(data) if plan is None else process_tiled(data, run, plan)

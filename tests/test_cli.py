@@ -90,6 +90,22 @@ class TestDehaze:
         assert names == ["step_000.png", "step_001.png", "step_002.png",
                          "step_003.png"]
 
+    def test_trajectory_follows_tiling(self, tmp_path, tiny_checkpoint, rng):
+        # an image larger than --tile: the frames come from the tiled run,
+        # and the last one is the output, which the flag does not change
+        src = tmp_path / "big.ppm"
+        save_image(rng.uniform(0.2, 0.8, (1, 3, 40, 52)).astype(np.float32), str(src))
+        common = ["--checkpoint", str(tiny_checkpoint), "--tile", "32",
+                  "--overlap", "8", "--solver", "euler", "--steps", "3"]
+        traj = tmp_path / "steps"
+        assert main(["dehaze", str(src), str(tmp_path / "a.ppm"), *common,
+                     "--record-trajectory", str(traj)]) == 0
+        assert main(["dehaze", str(src), str(tmp_path / "b.ppm"), *common]) == 0
+        assert sorted(os.listdir(traj)) == [f"step_{i:03d}.png" for i in range(4)]
+        out = load_image(str(tmp_path / "a.ppm"))
+        assert np.array_equal(load_image(str(traj / "step_003.png")), out)
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
     def test_tiled_path(self, tmp_path, tiny_checkpoint, rng):
         big = rng.uniform(0.2, 0.8, (1, 3, 40, 52)).astype(np.float32)
         src = tmp_path / "big.ppm"

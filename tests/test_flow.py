@@ -146,9 +146,11 @@ class TestIntegrateField:
     def test_trajectory_has_one_state_per_step(self, rng):
         x0 = Tensor(rng.uniform(0, 1, (1, 3, 4, 4)).astype(np.float32))
         cfg = FlowConfig(solver="midpoint", steps=5)
-        _, snaps = integrate_field(x0, lambda t, x: x * 0.01, cfg,
-                                   record=True)
+        _, snaps = integrate_field(x0, lambda t, x: x * 0.01, cfg)
         assert len(snaps) == 5
+        result = integrate(x0, PurifierNet(width=4), identity_lut(5), cfg)
+        assert len(result.trajectory) == 5
+        assert result.trajectory[-1] is result.raw_final
 
 
 class TestIntegrate:

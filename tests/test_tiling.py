@@ -171,6 +171,15 @@ class TestDehazeTiled:
             untiled = integrate(Tensor(img), net, lut, cfg).output.data
         assert np.abs(tiled - untiled).max() < 1e-4
 
+    def test_trajectory_ends_in_the_output(self, rng):
+        net = PurifierNet(width=4, seed=2)
+        img = rng.uniform(0, 1, (1, 3, 50, 70)).astype(np.float32)
+        cfg = FlowConfig(solver="midpoint", steps=3)
+        plan = TilePlan(tile=32, overlap=8)
+        frames = dehaze(img, net, identity_lut(5), cfg, plan, trajectory=True)
+        assert frames.shape == (3, 3, 50, 70)
+        assert np.array_equal(frames[-1:], dehaze(img, net, identity_lut(5), cfg, plan))
+
     def test_output_dtype_and_shape(self, rng):
         net = per_pixel_net()
         img = rng.uniform(0, 1, (1, 3, 50, 70)).astype(np.float32)
@@ -178,6 +187,24 @@ class TestDehazeTiled:
         out = dehaze(img, net, None, cfg, TilePlan(tile=32, overlap=8))
         assert out.shape == img.shape
         assert out.dtype == np.float32
+
+
+@pytest.mark.parametrize("h,w,tile,overlap", [
+    (30, 40, 64, 8),     # one tile: fn's result is returned as is
+    (100, 70, 32, 8),
+    (2, 97, 40, 32),     # a stride of one pixel
+])
+def test_several_images_per_tile_blend_like_one(h, w, tile, overlap):
+    # fn returns K = 3 images per tile; each must blend exactly as the
+    # one-image fn that makes it alone
+    x = np.random.default_rng(1).uniform(0, 1, (1, 3, h, w)).astype(np.float32)
+    plan = TilePlan(tile=tile, overlap=overlap)
+    got = process_tiled(
+        x, lambda t: np.concatenate([tile_dependent(t + k) for k in range(3)]), plan)
+    assert got.shape == (3, 3, h, w)
+    for k in range(3):
+        want = process_tiled(x, lambda t: tile_dependent(t + k), plan)
+        assert np.array_equal(got[k:k + 1], want)
 
 
 def test_plan_validation():
