@@ -69,8 +69,8 @@ def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
                         width=acfg.width, lut_size=acfg.lut_size)
     result.restore_best()
     after = None if result.lut is None else grid_checksum(result.lut)
-    report = evaluate_pairs([dehaze(h[None], result.net, result.lut, flow_cfg)
-                             for h in hazy], clean[:, None])
+    report = evaluate_pairs((dehaze(h[None], result.net, result.lut, flow_cfg)
+                             for h in hazy), clean[:, None])
     return AblationRow(suite=suite, setting=setting, mean_psnr=report.mean_psnr,
                        mean_ssim=report.mean_ssim, final_val_l1=result.best_val,
                        grid_checksum_before=before, grid_checksum_after=after)

@@ -136,15 +136,14 @@ def cmd_dehaze(args) -> int:
 def cmd_eval(args) -> int:
     if args.pred_dir:
         names, preds, refs = _load_pair_dirs(args.pred_dir, args.clean_dir)
-        report = evaluate_pairs([p[0] for p in preds], [r[0] for r in refs],
-                                names)
+        report = evaluate_pairs(preds, refs, names)
     else:
         if not args.hazy_dir:
             raise DataError("eval needs either --pred-dir or --hazy-dir")
         net, lut, flow_cfg = _load_model(args)
         names, hazy, clean = _load_pair_dirs(args.hazy_dir, args.clean_dir)
-        outs = [dehaze(hz, net, lut, flow_cfg) for hz in hazy]
-        report = evaluate_pairs(outs, clean, names)
+        report = evaluate_pairs((dehaze(hz, net, lut, flow_cfg) for hz in hazy),
+                                clean, names)
         print("input baseline:")
         print(evaluate_pairs(hazy, clean, names).key_value_lines(prefix="input_"))
 

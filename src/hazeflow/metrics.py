@@ -8,6 +8,7 @@ per channel and averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -120,11 +121,11 @@ class MetricReport:
 
 
 def evaluate_pairs(predictions, references, names=None) -> MetricReport:
-    """PSNR/SSIM report over matched prediction/reference image lists."""
-    if len(predictions) != len(references):
-        raise ShapeError("prediction and reference counts differ")
+    """PSNR/SSIM report over matched images, each pair scored as it is drawn."""
     report = MetricReport()
-    for idx, (pred, ref) in enumerate(zip(predictions, references)):
+    for idx, (pred, ref) in enumerate(zip_longest(predictions, references)):
+        if pred is None or ref is None:
+            raise ShapeError("prediction and reference counts differ")
         name = names[idx] if names else f"img{idx:03d}"
         report.add(name, psnr(pred, ref), ssim(pred, ref))
     return report

@@ -238,11 +238,13 @@ def history_table(history: Sequence[EpochStats]) -> str:
     return "\n".join(lines)
 
 
-def _epoch_loss(hazy: np.ndarray, clean: np.ndarray, net, lut, flow_cfg) -> float:
-    # instance norm is per-image, so one batched pass matches per-image passes
+def _epoch_loss(hazy, clean, net, lut, flow_cfg, batch_size: int) -> float:
+    # batch by batch, so one batch's activations and states are alive at once;
+    # norms are per-image, so this is one pass over the set up to rounding
     with no_grad():
-        result = integrate(Tensor(hazy), net, lut, flow_cfg)
-        return float(l1_loss(result.raw_final, Tensor(clean)).data)
+        raw = [integrate(Tensor(hazy[i:i + batch_size]), net, lut, flow_cfg).raw_final.data
+               for i in range(0, len(hazy), batch_size)]
+        return float(l1_loss(Tensor(np.concatenate(raw)), Tensor(clean)).data)
 
 
 def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
@@ -300,7 +302,7 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
             opt.step()
             epoch_loss += float(loss.data) * len(idx)
         train_l1 = epoch_loss / n
-        val_l1 = _epoch_loss(hazy, clean, net, lut, flow_cfg)
+        val_l1 = _epoch_loss(hazy, clean, net, lut, flow_cfg, cfg.batch_size)
         lr_now = sched.step(val_l1)
         opt.lr = lr_now
         history.append(EpochStats(epoch, train_l1, val_l1, lr_now))

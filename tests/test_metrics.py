@@ -115,6 +115,20 @@ class TestReport:
         assert float(kv["mean_psnr"]) == pytest.approx(report.mean_psnr)
         assert int(kv["count"]) == 3
 
+    def test_generator_predictions_match_a_list(self, rng):
+        preds = [rng.uniform(0, 1, (3, 16, 16)) for _ in range(3)]
+        refs = [p * 0.9 for p in preds]
+        names = ["a", "b", "c"]
+        assert evaluate_pairs((p for p in preds), refs, names) == \
+            evaluate_pairs(preds, refs, names)
+
+    def test_count_mismatch_raises(self, rng):
+        imgs = [rng.uniform(0, 1, (3, 16, 16)) for _ in range(3)]
+        for preds, refs in ((imgs, imgs[:2]), (imgs[:2], imgs),
+                            (iter(imgs), imgs[:2]), (iter(imgs[:2]), imgs)):
+            with pytest.raises(ShapeError, match="counts differ"):
+                evaluate_pairs(preds, refs)
+
     def test_report_mean(self):
         report = MetricReport()
         report.add("a", 20.0, 0.8)

@@ -13,8 +13,8 @@ from hazeflow.lut import identity_lut
 from hazeflow.purifier import PurifierNet
 from hazeflow.tensor import Tensor
 from hazeflow.training import (AdamW, ReduceLROnPlateau, TrainConfig,
-                               history_table, l1_loss, make_toy_dataset,
-                               synth_haze, train_loop)
+                               _epoch_loss, history_table, l1_loss,
+                               make_toy_dataset, synth_haze, train_loop)
 
 
 def _fixture_width_step():
@@ -209,6 +209,22 @@ class TestTrainLoop:
             np.testing.assert_array_equal(arr, net.params[name].data)
         assert result.history[0].train_l1 == pytest.approx(
             result.history[0].val_l1, rel=1e-5)
+
+    def test_validation_in_batches_matches_one_pass_in_less_memory(self):
+        hazy, clean = make_toy_dataset(16, 32, seed=4)
+        net, lut = PurifierNet(width=8, seed=4), identity_lut(5)
+        flow_cfg = FlowConfig(solver="rk4", steps=3)
+        losses, peaks = [], []
+        for batch_size in (16, 2):
+            tracemalloc.start()
+            try:
+                losses.append(_epoch_loss(hazy, clean, net, lut, flow_cfg,
+                                          batch_size))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert losses[1] == pytest.approx(losses[0], rel=1e-6)
+        assert peaks[1] < peaks[0] / 2
 
     def test_same_seed_identical_loss_curves(self):
         hazy, clean = make_toy_dataset(4, 16, seed=5)
