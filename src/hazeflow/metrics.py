@@ -123,9 +123,10 @@ class MetricReport:
 def evaluate_pairs(predictions, references, names=None) -> MetricReport:
     """PSNR/SSIM report over matched images, each pair scored as it is drawn."""
     report = MetricReport()
-    for idx, (pred, ref) in enumerate(zip_longest(predictions, references)):
+    # not enumerate(): zip_longest's cached tuple would then pin an old prediction
+    for pred, ref in zip_longest(predictions, references):
         if pred is None or ref is None:
             raise ShapeError("prediction and reference counts differ")
-        name = names[idx] if names else f"img{idx:03d}"
+        name = names[len(report.names)] if names else f"img{len(report.names):03d}"
         report.add(name, psnr(pred, ref), ssim(pred, ref))
     return report

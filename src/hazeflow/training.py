@@ -239,8 +239,7 @@ def history_table(history: Sequence[EpochStats]) -> str:
 
 
 def _epoch_loss(hazy, clean, net, lut, flow_cfg, batch_size: int) -> float:
-    # batch by batch, so one batch's activations and states are alive at once;
-    # norms are per-image, so this is one pass over the set up to rounding
+    # a batch at a time bounds memory; per-image norms keep the loss, up to rounding
     with no_grad():
         raw = [integrate(Tensor(hazy[i:i + batch_size]), net, lut, flow_cfg).raw_final.data
                for i in range(0, len(hazy), batch_size)]

@@ -1,5 +1,7 @@
 """PSNR/SSIM against closed forms and a naive windowed SSIM oracle."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,21 @@ class TestReport:
         names = ["a", "b", "c"]
         assert evaluate_pairs((p for p in preds), refs, names) == \
             evaluate_pairs(preds, refs, names)
+
+    def test_generated_predictions_are_freed_one_by_one(self, rng):
+        refs = [rng.uniform(0, 1, (3, 16, 16)) for _ in range(4)]
+        drawn = []
+
+        def predictions():
+            for ref in refs:
+                # only the prediction being scored may still be alive
+                assert sum(w() is not None for w in drawn) <= 1
+                pred = ref * 0.9
+                drawn.append(weakref.ref(pred))
+                yield pred
+                del pred
+
+        assert evaluate_pairs(predictions(), refs).names[-1] == "img003"
 
     def test_count_mismatch_raises(self, rng):
         imgs = [rng.uniform(0, 1, (3, 16, 16)) for _ in range(3)]
