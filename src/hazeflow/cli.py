@@ -46,9 +46,8 @@ def _load_pair_dirs(hazy_dir: str, clean_dir: str):
     if not names:
         raise DataError(
             f"no matching image pairs between {hazy_dir} and {clean_dir}")
-    hazy = [load_image(os.path.join(hazy_dir, n)) for n in names]
-    clean = [load_image(os.path.join(clean_dir, n)) for n in names]
-    return names, hazy, clean
+    return (names, [os.path.join(hazy_dir, n) for n in names],
+            [os.path.join(clean_dir, n) for n in names])
 
 
 def _flow_from_args(args, base: FlowConfig | None = None) -> FlowConfig:
@@ -77,7 +76,9 @@ def _train(args, log) -> int:
     flow_cfg = _flow_from_args(args)
 
     if args.hazy_dir and args.clean_dir:
-        names, hazy_list, clean_list = _load_pair_dirs(args.hazy_dir, args.clean_dir)
+        names, hazy_paths, clean_paths = _load_pair_dirs(args.hazy_dir, args.clean_dir)
+        hazy_list = [load_image(p) for p in hazy_paths]
+        clean_list = [load_image(p) for p in clean_paths]
         shapes = {im.shape for im in hazy_list + clean_list}
         if len(shapes) != 1:
             raise DataError(f"training images disagree in shape: {shapes}")
@@ -136,16 +137,18 @@ def cmd_dehaze(args) -> int:
 def cmd_eval(args) -> int:
     if args.pred_dir:
         names, preds, refs = _load_pair_dirs(args.pred_dir, args.clean_dir)
-        report = evaluate_pairs(preds, refs, names)
+        report = evaluate_pairs(map(load_image, preds), map(load_image, refs), names)
     else:
         if not args.hazy_dir:
             raise DataError("eval needs either --pred-dir or --hazy-dir")
         net, lut, flow_cfg = _load_model(args)
         names, hazy, clean = _load_pair_dirs(args.hazy_dir, args.clean_dir)
-        report = evaluate_pairs((dehaze(hz, net, lut, flow_cfg) for hz in hazy),
-                                clean, names)
+        baseline = evaluate_pairs(map(load_image, hazy), map(load_image, clean), names)
         print("input baseline:")
-        print(evaluate_pairs(hazy, clean, names).key_value_lines(prefix="input_"))
+        print(baseline.key_value_lines(prefix="input_"))
+        # the plan `hazeflow dehaze` runs with its default flags
+        report = evaluate_pairs((dehaze(load_image(p), net, lut, flow_cfg, TilePlan())
+                                 for p in hazy), map(load_image, clean), names)
 
     text = report.format_table() + "\n" + report.key_value_lines()
     print(text)
@@ -229,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output")
     p.add_argument("--config", default=None)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--tile", type=int, default=512,
+    p.add_argument("--tile", type=int, default=TilePlan.tile,
                    help="tile size for large images; 0 disables tiling")
-    p.add_argument("--overlap", type=int, default=32)
+    p.add_argument("--overlap", type=int, default=TilePlan.overlap)
     p.add_argument("--record-trajectory", default=None, metavar="DIR",
                    help="write step_000.png .. step_NNN.png")
     _add_model_flags(p)
@@ -256,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", dest="width_px", type=int, default=3840)
     p.add_argument("--net-width", type=int, default=16)
     p.add_argument("--lut-size", type=int, default=33)
-    p.add_argument("--tile", type=int, default=512)
-    p.add_argument("--overlap", type=int, default=32)
+    p.add_argument("--tile", type=int, default=TilePlan.tile)
+    p.add_argument("--overlap", type=int, default=TilePlan.overlap)
     p.add_argument("--seed", type=int, default=0)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_bench)
@@ -303,13 +306,12 @@ def _merge_config(argv: list[str]) -> list[str]:
     """Insert config-file options after the subcommand; explicit flags win."""
     if not argv or argv[0].startswith("-"):
         return argv
-    config_path = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 < len(argv):
-            config_path = argv[idx + 1]
-    elif os.environ.get(CONFIG_ENV_VAR):
-        config_path = os.environ[CONFIG_ENV_VAR]
+    # argparse's own matching, so --config=PATH and --conf PATH count too
+    pre = argparse.ArgumentParser(prog="hazeflow", add_help=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv[1:])[0].config
+    if config_path is None:
+        config_path = os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
         return argv
     flags = _read_config_flags(config_path)

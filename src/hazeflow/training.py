@@ -30,8 +30,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:  # NaN fails every comparison
             raise ConfigError("learning rate must be non-negative")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight decay must be non-negative")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be positive")
+        if self.patience < 0:
+            raise ConfigError("patience must be non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch size must be positive")
         if not 0.0 < self.factor < 1.0:
@@ -215,7 +221,6 @@ class EpochStats:
 class TrainResult:
     net: PurifierNet
     lut: Optional[Lut3D]
-    flow: FlowConfig
     history: list
     best_val: float
     best_epoch: int
@@ -311,6 +316,6 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
             best_state = {"net": net.state(),
                           "lut": None if lut is None else lut.grid.data.copy()}
 
-    return TrainResult(net=net, lut=lut, flow=flow_cfg, history=history,
+    return TrainResult(net=net, lut=lut, history=history,
                        best_val=best_val, best_epoch=best_epoch,
                        best_state=best_state, optimizer=opt)

@@ -3,18 +3,21 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, save_checkpoint
+from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from hazeflow.cli import main
 from hazeflow.flow import SOLVERS, FlowConfig
 from hazeflow.imgio import load_image, save_image
 from hazeflow.lut import identity_lut
+from hazeflow.metrics import evaluate_pairs
 from hazeflow.purifier import PurifierNet
+from hazeflow.tiling import TilePlan, dehaze
 
 
 @pytest.fixture
@@ -261,8 +264,13 @@ _BAD_CONFIGS = {
     "train_negative_seed": ["train", "--seed", "-1"],
     "bench_height_0": ["bench", "--height", "0"],
     "bench_width_negative": ["bench", "--width", "-1"],
+    "train_epochs_0": ["train", "--epochs", "0"],
+    "train_nan_lr": ["train", "--lr", "nan"],
+    "train_negative_weight_decay": ["train", "--weight-decay", "-1"],
+    "train_negative_patience": ["train", "--patience", "-1"],
     # smaller than the 11-pixel SSIM window that scores every row
     "ablate_size_8": ["ablate", "--size", "8"],
+    "ablate_lut_size_1": ["ablate", "--lut-size", "1"],
 }
 
 
@@ -278,6 +286,17 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def _pair_dirs(root, rng, n, shape):
+    hazy_dir, clean_dir = root / "hazy", root / "clean"
+    hazy_dir.mkdir(parents=True)
+    clean_dir.mkdir()
+    for i in range(n):
+        img = rng.uniform(0.2, 0.8, (1, 3) + shape).astype(np.float32)
+        save_image(img, str(hazy_dir / f"{i}.ppm"))
+        save_image(np.clip(img - 0.1, 0, 1), str(clean_dir / f"{i}.ppm"))
+    return hazy_dir, clean_dir
 
 
 class TestEval:
@@ -308,6 +327,42 @@ class TestEval:
         rc = main(["eval", "--checkpoint", str(tiny_checkpoint),
                    "--hazy-dir", str(hazy_dir), "--clean-dir", str(clean_dir)])
         assert rc == 0
+
+    def test_model_mode_scores_the_default_tiled_dehaze(self, tmp_path, rng,
+                                                        tiny_checkpoint, capsys):
+        # wider than one 512-pixel tile, so eval must blend tiles as
+        # `hazeflow dehaze` does by default
+        hazy_dir, clean_dir = _pair_dirs(tmp_path, rng, 1, (48, 600))
+        ckpt = load_checkpoint(str(tiny_checkpoint))
+        hazy = load_image(str(hazy_dir / "0.ppm"))
+        clean = load_image(str(clean_dir / "0.ppm"))
+        expected = evaluate_pairs(
+            [dehaze(hazy, ckpt.net, ckpt.lut, ckpt.flow, TilePlan())], [clean])
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(tiny_checkpoint),
+                   "--hazy-dir", str(hazy_dir), "--clean-dir", str(clean_dir)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.index("input_mean_psnr=") < out.index("\nmean_psnr=")
+        assert f"\nmean_psnr={expected.mean_psnr:.6f}\n" in out
+        assert f"\nmean_ssim={expected.mean_ssim:.6f}\n" in out
+
+    def test_model_mode_holds_one_pair_at_a_time(self, tmp_path, rng,
+                                                 tiny_checkpoint):
+        shape = (96, 96)
+        pair_bytes = 2 * 3 * shape[0] * shape[1] * 4  # float32 hazy + clean
+        peaks = []
+        for n in (2, 6):
+            hazy_dir, clean_dir = _pair_dirs(tmp_path / str(n), rng, n, shape)
+            tracemalloc.start()
+            try:
+                rc = main(["eval", "--checkpoint", str(tiny_checkpoint),
+                           "--hazy-dir", str(hazy_dir), "--clean-dir", str(clean_dir)])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+        assert peaks[1] - peaks[0] < pair_bytes
 
     def test_empty_dirs_is_data_error(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -377,6 +432,15 @@ class TestUsageAndConfig:
                    "--record-trajectory", str(tmp_path / "t3")])
         assert rc == 0
         assert len(os.listdir(tmp_path / "t3")) == 4
+
+    @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
+    def test_every_config_spelling_is_read(self, tmp_path, spelling):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("steps = 0\n")
+        rc = main(["bench", "--height", "8", "--width", "8", "--net-width", "2",
+                   "--lut-size", "3", "--tile", "0",
+                   *(arg.format(cfg) for arg in spelling)])
+        assert rc == 1  # the config's steps=0 was read and rejected
 
     def test_missing_config_file_is_data_error(self, tmp_path, hazy_ppm):
         rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"),
