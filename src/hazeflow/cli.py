@@ -308,10 +308,8 @@ def _merge_config(argv: list[str]) -> list[str]:
         return argv
     # argparse's own matching, so --config=PATH and --conf PATH count too
     pre = argparse.ArgumentParser(prog="hazeflow", add_help=False)
-    pre.add_argument("--config")
+    pre.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR))
     config_path = pre.parse_known_args(argv[1:])[0].config
-    if config_path is None:
-        config_path = os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
         return argv
     flags = _read_config_flags(config_path)
