@@ -25,6 +25,18 @@ PPM (seed `--seed-base` + 800) with the perfbench fixture checkpoint,
 pairs, recording each child's wall time and `ru_maxrss` and whether the
 two sides wrote byte-equal files.
 
+Before the pairs, a child process in each checkout computes the sha256 of
+three identity sets, from the fixture checkpoint and the perfbench inputs
+(`make_pair`/`make_batch`, seed `--seed-base` + 700):
+
+- the float32 `dehaze` output of a 512x512 input, untiled, at RK4 x1;
+- the float32 `dehaze` output of a 1280x720 input with `TilePlan(256, 32)`
+  at the checkpoint's Euler x2;
+- the parameters after 5 AdamW steps (lr 1e-3) on 4x64x64 batches through
+  RK4 x2.
+
+Both hashes and whether they are equal are recorded per set.
+
 The output holds, per side and metric, the median and quartiles of the
 pairs, how many pairs the change won on each end-to-end metric (direction
 from BENCHMARK.json), the failed/attempted counts, the seeds, the commit
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
 import json
 import os
 import statistics
@@ -55,6 +68,11 @@ UHD_DEHAZE_ARGS = ["--checkpoint", "perfbench/fixture/model.hzf", "--tile", "512
 CLI_CHILD = ("import resource, sys; from hazeflow.cli import main; "
              "code = main(sys.argv[1:]); print(resource.getrusage("
              "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
+# prints identity_hashes(seed) as JSON, with the checkout's own hazeflow
+# and perfbench inputs (cwd is the checkout)
+IDENTITY_CHILD = ("import json, sys; sys.path[:0] = [sys.argv[1], 'perfbench']; "
+                  "from bench_pairs import identity_hashes; "
+                  "print(json.dumps(identity_hashes(int(sys.argv[2]))))")
 
 
 def run(cmd, cwd, timeout=1800):
@@ -185,6 +203,62 @@ def measure_uhd_dehaze(args):
     return entry
 
 
+def identity_hashes(seed):
+    """sha256 of the three identity sets, computed by the imported hazeflow."""
+    from hazeflow import AdamW, FlowConfig, Tensor, TilePlan, dehaze, integrate, l1_loss
+    from hazeflow.checkpoint import load_checkpoint
+    from inputs import make_batch, make_pair
+
+    def sha256(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(f"{a.dtype} {a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    def image(height, width, patch):
+        hazy, _ = make_pair(seed, 0, height, width, patch)
+        return hazy.transpose(2, 0, 1)[None].astype(np.float32) / np.float32(255.0)
+
+    ck = load_checkpoint("perfbench/fixture/model.hzf")
+    out = {
+        "dehaze_512_rk4x1": sha256([dehaze(image(512, 512, 16), ck.net, ck.lut,
+                                           FlowConfig("rk4", 1, ck.flow.lam))]),
+        "dehaze_hd_tiled": sha256([dehaze(image(720, 1280, 20), ck.net, ck.lut,
+                                          ck.flow, TilePlan(256, 32))]),
+    }
+    params = dict(ck.net.parameters())
+    params["lut.grid"] = ck.lut.grid
+    opt, flow = AdamW(params, lr=1e-3), FlowConfig("rk4", 2, ck.flow.lam)
+    for i in range(5):
+        hazy, clean = make_batch(seed, i, 4, 64, 16)
+        loss = l1_loss(integrate(Tensor(hazy), ck.net, ck.lut, flow).raw_final,
+                       Tensor(clean))
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    out["adamw_5_steps"] = sha256([params[name].data for name in sorted(params)])
+    return out
+
+
+def measure_identity(args):
+    seed, hashes = args.seed_base + 700, {}
+    for side in SIDES:
+        proc, _ = run([sys.executable, "-c", IDENTITY_CHILD,
+                       os.path.dirname(os.path.abspath(__file__)), str(seed)],
+                      getattr(args, side))
+        if proc.returncode != 0:
+            raise RuntimeError(f"identity sets in {getattr(args, side)} "
+                               f"failed:\n{proc.stderr}")
+        hashes[side] = json.loads(proc.stdout.strip().splitlines()[-1])
+        print(f"identity sets {side} done", flush=True)
+    entry = {"seed": seed}
+    for name in hashes["parent"]:
+        entry[name] = {side: hashes[side][name] for side in SIDES}
+        entry[name]["equal"] = hashes["parent"][name] == hashes["change"][name]
+    return entry
+
+
 def measure_tier1(path):
     proc, wall = run([sys.executable, "-m", "pytest", "-q", "-p",
                       "no:cacheprovider", "--continue-on-collection-errors"],
@@ -208,6 +282,7 @@ def main(argv=None) -> int:
     record = {"seconds": declared["run_seconds"], "pairs": PAIRS}
     for side in SIDES:
         record[side] = git_ids(getattr(args, side))
+    record["identity"] = measure_identity(args)
     record["workloads"], record["env"] = measure_pairs(args, declared, directions)
     record["traced"] = measure_traced(args, list(record["workloads"]),
                                       declared["run_seconds"])

@@ -139,7 +139,6 @@ def format_report(results: dict[str, list[AblationRow]]) -> str:
 
 
 def write_reports(results: dict[str, list[AblationRow]], out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for suite, rows in results.items():
         path = os.path.join(out_dir, f"ablation_{suite}.txt")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -50,32 +51,30 @@ def _load_pair_dirs(hazy_dir: str, clean_dir: str):
             [os.path.join(clean_dir, n) for n in names])
 
 
-def _flow_from_args(args, base: FlowConfig | None = None) -> FlowConfig:
-    base = base or FlowConfig()
-    return FlowConfig(
-        solver=args.solver if args.solver is not None else base.solver,
-        steps=args.steps if args.steps is not None else base.steps,
-        lam=args.lam if args.lam is not None else base.lam)
+def _settings(cls, args, base=None):
+    """`base or cls()`, with every field whose flag was given."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(base or cls(), **given)
 
 
 def cmd_train(args) -> int:
+    # every check before --loss-log is opened, which truncates it
+    cfg = _settings(TrainConfig, args)
+    flow_cfg = _settings(FlowConfig, args)
+    if bool(args.hazy_dir) != bool(args.clean_dir):
+        raise ConfigError("train needs --hazy-dir and --clean-dir together")
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         raise DataError(f"cannot write {args.out}: its directory does not exist")
     if os.path.isdir(args.out):
         raise DataError(f"cannot write --out {args.out}: it is a directory")
     with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
             else contextlib.nullcontext() as log:
-        return _train(args, log)
+        return _train(args, cfg, flow_cfg, log)
 
 
-def _train(args, log) -> int:
-    cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay,
-                      batch_size=args.batch_size, epochs=args.epochs,
-                      patience=args.patience, factor=args.factor,
-                      seed=args.seed)
-    flow_cfg = _flow_from_args(args)
-
-    if args.hazy_dir and args.clean_dir:
+def _train(args, cfg: TrainConfig, flow_cfg: FlowConfig, log) -> int:
+    if args.hazy_dir:
         names, hazy_paths, clean_paths = _load_pair_dirs(args.hazy_dir, args.clean_dir)
         hazy_list = [load_image(p) for p in hazy_paths]
         clean_list = [load_image(p) for p in clean_paths]
@@ -109,10 +108,10 @@ def _train(args, log) -> int:
 def _load_model(args):
     if args.checkpoint:
         ckpt = load_checkpoint(args.checkpoint)
-        return ckpt.net, ckpt.lut, _flow_from_args(args, ckpt.flow)
+        return ckpt.net, ckpt.lut, _settings(FlowConfig, args, ckpt.flow)
     net = PurifierNet(width=args.width, seed=args.seed)
     lut = lut_from_size(args.lut_size)
-    return net, lut, _flow_from_args(args)
+    return net, lut, _settings(FlowConfig, args)
 
 
 def cmd_dehaze(args) -> int:
@@ -135,12 +134,14 @@ def cmd_dehaze(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.clean_dir:
+        raise ConfigError("eval needs --clean-dir")
+    if bool(args.pred_dir) == bool(args.hazy_dir):
+        raise ConfigError("eval needs one of --pred-dir and --hazy-dir")
     if args.pred_dir:
         names, preds, refs = _load_pair_dirs(args.pred_dir, args.clean_dir)
         report = evaluate_pairs(map(load_image, preds), map(load_image, refs), names)
     else:
-        if not args.hazy_dir:
-            raise DataError("eval needs either --pred-dir or --hazy-dir")
         net, lut, flow_cfg = _load_model(args)
         names, hazy, clean = _load_pair_dirs(args.hazy_dir, args.clean_dir)
         baseline = evaluate_pairs(map(load_image, hazy), map(load_image, clean), names)
@@ -159,7 +160,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    flow_cfg = _flow_from_args(args)
+    flow_cfg = _settings(FlowConfig, args)
     plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
     report = run_bench(args.height, args.width_px, flow_cfg,
                        net_width=args.net_width, lut_size=args.lut_size,
@@ -170,13 +171,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    acfg = AblationConfig(seed=args.seed, n_pairs=args.pairs, size=args.size,
-                          epochs=args.epochs, width=args.width,
-                          lut_size=args.lut_size, steps=args.steps)
-    if args.suite == "all":
-        results = run_all(acfg)
-    else:
-        results = {args.suite: run_suite(args.suite, acfg)}
+    acfg = _settings(AblationConfig, args)
+    if args.out_dir:  # before the first row trains
+        os.makedirs(args.out_dir, exist_ok=True)
+    results = (run_all(acfg) if args.suite == "all"
+               else {args.suite: run_suite(args.suite, acfg)})
     print(format_report(results))
     if args.out_dir:
         paths = write_reports(results, args.out_dir)
@@ -208,16 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Image dehazing via ODE integration of a haze-aware "
                     "vector field (CNN purifier + learnable 3D LUT).")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
+                        help=f"key=value config file (default: ${CONFIG_ENV_VAR})")
 
-    p = sub.add_parser("train", help="train purifier + LUT")
-    p.add_argument("--config", default=None, help="key=value config file")
+    # flags without a default (None) take the field default of TrainConfig,
+    # AblationConfig or FlowConfig (`_settings`)
+    p = sub.add_parser("train", parents=[common], help="train purifier + LUT")
     p.add_argument("--out", default="checkpoint.hzf")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--patience", type=int, default=100)
-    p.add_argument("--factor", type=float, default=0.5)
+    for flag, kind in (("--epochs", int), ("--lr", float), ("--weight-decay", float),
+                       ("--batch-size", int), ("--patience", int), ("--factor", float)):
+        p.add_argument(flag, type=kind)
     p.add_argument("--hazy-dir", default=None)
     p.add_argument("--clean-dir", default=None)
     p.add_argument("--synth-pairs", type=int, default=16)
@@ -227,10 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flow_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("dehaze", help="dehaze one image")
+    p = sub.add_parser("dehaze", parents=[common], help="dehaze one image")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--config", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--tile", type=int, default=TilePlan.tile,
                    help="tile size for large images; 0 disables tiling")
@@ -241,20 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flow_flags(p)
     p.set_defaults(func=cmd_dehaze)
 
-    p = sub.add_parser("eval", help="metric table over paired directories")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("eval", parents=[common],
+                       help="metric table over paired directories")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--hazy-dir", default=None)
     p.add_argument("--pred-dir", default=None,
                    help="already-dehazed images; skips the model")
-    p.add_argument("--clean-dir", required=True)
+    p.add_argument("--clean-dir", default=None, help="required; a config may give it")
     p.add_argument("--out", default=None)
     _add_model_flags(p)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="timing / memory / MAC report")
-    p.add_argument("--config", default=None)
+    p = sub.add_parser("bench", parents=[common], help="timing / memory / MAC report")
     p.add_argument("--height", type=int, default=2160)
     p.add_argument("--width", dest="width_px", type=int, default=3840)
     p.add_argument("--net-width", type=int, default=16)
@@ -265,17 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flow_flags(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("ablate", help="run ablation suites")
+    p = sub.add_parser("ablate", parents=[common], help="run ablation suites")
     p.add_argument("suite", choices=SUITES + ("all",))
-    p.add_argument("--config", default=None)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--pairs", type=int, default=8)
-    p.add_argument("--size", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=25)
-    p.add_argument("--width", type=int, default=4)
-    p.add_argument("--lut-size", type=int, default=9)
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--pairs", dest="n_pairs", type=int)
+    for flag in ("--seed", "--size", "--epochs", "--width", "--lut-size", "--steps"):
+        p.add_argument(flag, type=int)
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -302,27 +295,16 @@ def _read_config_flags(path: str) -> list[str]:
     return flags
 
 
-def _merge_config(argv: list[str]) -> list[str]:
-    """Insert config-file options after the subcommand; explicit flags win."""
-    if not argv or argv[0].startswith("-"):
-        return argv
-    # argparse's own matching, so --config=PATH and --conf PATH count too
-    pre = argparse.ArgumentParser(prog="hazeflow", add_help=False)
-    pre.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR))
-    config_path = pre.parse_known_args(argv[1:])[0].config
-    if not config_path:
-        return argv
-    flags = _read_config_flags(config_path)
-    # later occurrences win in argparse, so config flags go first
-    return [argv[0]] + flags + argv[1:]
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _merge_config(argv)
         args = parser.parse_args(argv)
+        if args.config:
+            # later occurrences win in argparse, so the file's flags go
+            # after the subcommand and before argv's own
+            argv[1:1] = _read_config_flags(args.config)
+            args = parser.parse_args(argv)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hazeflow import cli
+from hazeflow.ablation import AblationConfig
 from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from hazeflow.cli import main
 from hazeflow.flow import SOLVERS, FlowConfig
@@ -18,6 +20,7 @@ from hazeflow.lut import identity_lut
 from hazeflow.metrics import evaluate_pairs
 from hazeflow.purifier import PurifierNet
 from hazeflow.tiling import TilePlan, dehaze
+from hazeflow.training import TrainConfig
 
 
 @pytest.fixture
@@ -271,6 +274,12 @@ _BAD_CONFIGS = {
     # smaller than the 11-pixel SSIM window that scores every row
     "ablate_size_8": ["ablate", "--size", "8"],
     "ablate_lut_size_1": ["ablate", "--lut-size", "1"],
+    # a directory flag without its partner; the paths need not exist, as
+    # the check comes before any data is read
+    "train_hazy_dir_alone": ["train", "--hazy-dir", "absent"],
+    "train_clean_dir_alone": ["train", "--clean-dir", "absent"],
+    "eval_pred_and_hazy_dirs": ["eval", "--pred-dir", "absent", "--hazy-dir", "absent"],
+    "eval_no_dirs": ["eval"],
 }
 
 
@@ -281,7 +290,8 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
              "bench": ["--height", "8", "--tile", "0"],
              "train": ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
                        "--synth-size", "8"],
-             "ablate": ["solver", "--epochs", "1", "--pairs", "1"]}[cmd]
+             "ablate": ["solver", "--epochs", "1", "--pairs", "1"],
+             "eval": ["--clean-dir", str(tmp_path)]}[cmd]
     rc = main([cmd, *paths, "--width", "4", "--lut-size", "5", *flags])
     err = capsys.readouterr().err
     assert rc == 1
@@ -389,6 +399,17 @@ class TestAblateCommand:
         assert rc == 0
         assert (out_dir / "ablation_solver.txt").exists()
 
+    def test_unusable_out_dir_fails_before_the_first_row(self, tmp_path, capsys):
+        taken = tmp_path / "reports"
+        taken.write_text("a file, not a directory\n")
+        rc = main(["ablate", "solver", "--out-dir", str(taken),
+                   "--epochs", "1", "--pairs", "2", "--size", "16",
+                   "--width", "2", "--lut-size", "3", "--steps", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert out == ""
+
 
 class TestUsageAndConfig:
     def test_unknown_command_exits_1(self):
@@ -441,6 +462,52 @@ class TestUsageAndConfig:
                    "--lut-size", "3", "--tile", "0",
                    *(arg.format(cfg) for arg in spelling)])
         assert rc == 1  # the config's steps=0 was read and rejected
+
+    def test_ambiguous_config_prefix_is_usage_error(self, tmp_path, hazy_ppm, capsys):
+        # the subcommand's own parser reads --config, so a prefix it cannot
+        # resolve is never taken for a config path
+        rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"),
+                   "--c", str(tmp_path / "missing.cfg")])
+        assert rc == 1
+        assert "ambiguous option: --c" in capsys.readouterr().err
+
+    def test_config_supplies_clean_dir(self, tmp_path, rng):
+        pairs = tmp_path / "pairs"
+        pairs.mkdir()
+        save_image(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32),
+                   str(pairs / "a.ppm"))
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"clean_dir = {pairs}\n")
+        assert main(["eval", "--pred-dir", str(pairs), "--config", str(cfg)]) == 0
+
+    def test_eval_without_clean_dir_is_usage_error(self, tmp_path, capsys):
+        rc = main(["eval", "--pred-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_train_settings_default_from_their_dataclasses(self, tmp_path,
+                                                           monkeypatch):
+        class Stop(Exception):  # not a HazeflowError, so main lets it through
+            pass
+
+        seen = {}
+
+        def stop(data, cfg, flow_cfg, **kwargs):
+            seen.update(cfg=cfg, flow=flow_cfg)
+            raise Stop
+
+        monkeypatch.setattr(cli, "train_loop", stop)
+        with pytest.raises(Stop):
+            main(["train", "--out", str(tmp_path / "x.hzf"), "--synth-pairs", "1",
+                  "--synth-size", "8"])
+        assert seen == {"cfg": TrainConfig(), "flow": FlowConfig()}
+
+    def test_ablate_settings_default_from_their_dataclass(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_all", lambda acfg: seen.append(acfg) or {})
+        assert main(["ablate", "all"]) == 0
+        assert seen == [AblationConfig()]
 
     def test_missing_config_file_is_data_error(self, tmp_path, hazy_ppm):
         rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"),
@@ -496,6 +563,15 @@ def test_train_checks_its_outputs_before_the_first_epoch(tmp_path, capsys, flag)
     assert missing in err and ".tmp" not in err
     assert out == ""  # neither the data set line nor any epoch line
     assert not (tmp_path / "absent").exists()
+
+
+@pytest.mark.parametrize("bad", [["--epochs", "0"], ["--hazy-dir", "absent"]])
+def test_train_usage_error_leaves_the_loss_log_alone(tmp_path, bad):
+    log = tmp_path / "loss.txt"
+    log.write_text("an earlier run\n")
+    rc = main(["train", "--out", str(tmp_path / "x.hzf"), "--loss-log", str(log), *bad])
+    assert rc == 1
+    assert log.read_text() == "an earlier run\n"
 
 
 def test_train_rejects_a_directory_as_out_before_the_first_epoch(tmp_path, capsys):
