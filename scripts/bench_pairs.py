@@ -35,7 +35,11 @@ three identity sets, from the fixture checkpoint and the perfbench inputs
 - the parameters after 5 AdamW steps (lr 1e-3) on 4x64x64 batches through
   RK4 x2.
 
-Both hashes and whether they are equal are recorded per set.
+Both hashes and whether they are equal are recorded per set. A child
+process in each checkout also records, under `graph_peak_mib`, the
+tracemalloc peak of one fixture training step (forward and backward,
+batch 4, inputs of seed `--seed-base` + 700) at 64x64 RK4 x2 and at
+96x96 RK4 x4: the memory the autodiff graph holds.
 
 The output holds, per side and metric, the median and quartiles of the
 pairs, how many pairs the change won on each end-to-end metric (direction
@@ -68,11 +72,13 @@ UHD_DEHAZE_ARGS = ["--checkpoint", "perfbench/fixture/model.hzf", "--tile", "512
 CLI_CHILD = ("import resource, sys; from hazeflow.cli import main; "
              "code = main(sys.argv[1:]); print(resource.getrusage("
              "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
-# prints identity_hashes(seed) as JSON, with the checkout's own hazeflow
-# and perfbench inputs (cwd is the checkout)
-IDENTITY_CHILD = ("import json, sys; sys.path[:0] = [sys.argv[1], 'perfbench']; "
-                  "from bench_pairs import identity_hashes; "
-                  "print(json.dumps(identity_hashes(int(sys.argv[2]))))")
+# prints bench_pairs.<argv[2]>(seed) as JSON, with the checkout's own
+# hazeflow and perfbench inputs (cwd is the checkout)
+CHECKOUT_CHILD = ("import json, sys; sys.path[:0] = [sys.argv[1], 'perfbench']; "
+                  "import bench_pairs; "
+                  "print(json.dumps(getattr(bench_pairs, sys.argv[2])(int(sys.argv[3]))))")
+# graph_peaks: (image size, RK4 steps) of each batch-4 training step
+GRAPH_STEPS = {"4x64x64_rk4x2": (64, 2), "4x96x96_rk4x4": (96, 4)}
 
 
 def run(cmd, cwd, timeout=1800):
@@ -241,17 +247,45 @@ def identity_hashes(seed):
     return out
 
 
+def graph_peaks(seed):
+    """tracemalloc peak (MiB) of one fixture training step per GRAPH_STEPS shape."""
+    import tracemalloc
+
+    from hazeflow import FlowConfig, Tensor, integrate, l1_loss
+    from hazeflow.checkpoint import load_checkpoint
+    from inputs import make_batch
+
+    ck, peaks = load_checkpoint("perfbench/fixture/model.hzf"), {}
+    for name, (size, steps) in GRAPH_STEPS.items():
+        hazy, clean = make_batch(seed, 0, 4, size, 16)
+        for p in [*ck.net.parameters().values(), ck.lut.grid]:
+            p.zero_grad()
+        tracemalloc.start()
+        try:
+            result = integrate(Tensor(hazy), ck.net, ck.lut,
+                               FlowConfig("rk4", steps, ck.flow.lam))
+            l1_loss(result.raw_final, Tensor(clean)).backward()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def in_checkout(args, side, function, seed):
+    """bench_pairs.<function>(seed), run by a child in the side's checkout."""
+    proc, _ = run([sys.executable, "-c", CHECKOUT_CHILD,
+                   os.path.dirname(os.path.abspath(__file__)), function, str(seed)],
+                  getattr(args, side))
+    if proc.returncode != 0:
+        raise RuntimeError(f"{function} in {getattr(args, side)} "
+                           f"failed:\n{proc.stderr}")
+    print(f"{function} {side} done", flush=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def measure_identity(args):
-    seed, hashes = args.seed_base + 700, {}
-    for side in SIDES:
-        proc, _ = run([sys.executable, "-c", IDENTITY_CHILD,
-                       os.path.dirname(os.path.abspath(__file__)), str(seed)],
-                      getattr(args, side))
-        if proc.returncode != 0:
-            raise RuntimeError(f"identity sets in {getattr(args, side)} "
-                               f"failed:\n{proc.stderr}")
-        hashes[side] = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"identity sets {side} done", flush=True)
+    seed = args.seed_base + 700
+    hashes = {side: in_checkout(args, side, "identity_hashes", seed) for side in SIDES}
     entry = {"seed": seed}
     for name in hashes["parent"]:
         entry[name] = {side: hashes[side][name] for side in SIDES}
@@ -283,6 +317,9 @@ def main(argv=None) -> int:
     for side in SIDES:
         record[side] = git_ids(getattr(args, side))
     record["identity"] = measure_identity(args)
+    record["graph_peak_mib"] = {
+        side: in_checkout(args, side, "graph_peaks", args.seed_base + 700)
+        for side in SIDES}
     record["workloads"], record["env"] = measure_pairs(args, declared, directions)
     record["traced"] = measure_traced(args, list(record["workloads"]),
                                       declared["run_seconds"])

@@ -59,7 +59,8 @@ def _settings(cls, args, base=None):
 
 
 def cmd_train(args) -> int:
-    # every check before --loss-log is opened, which truncates it
+    # every check, the model and the data come before --loss-log is
+    # opened, which truncates it, and any output after
     cfg = _settings(TrainConfig, args)
     flow_cfg = _settings(FlowConfig, args)
     if bool(args.hazy_dir) != bool(args.clean_dir):
@@ -68,32 +69,15 @@ def cmd_train(args) -> int:
         raise DataError(f"cannot write {args.out}: its directory does not exist")
     if os.path.isdir(args.out):
         raise DataError(f"cannot write --out {args.out}: it is a directory")
+    net = PurifierNet(width=args.width, seed=cfg.seed)
+    lut = lut_from_size(args.lut_size) if flow_cfg.lam > 0 else None
+    pairs, source = _training_pairs(args)
     with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
             else contextlib.nullcontext() as log:
-        return _train(args, cfg, flow_cfg, log)
-
-
-def _train(args, cfg: TrainConfig, flow_cfg: FlowConfig, log) -> int:
-    if args.hazy_dir:
-        names, hazy_paths, clean_paths = _load_pair_dirs(args.hazy_dir, args.clean_dir)
-        hazy_list = [load_image(p) for p in hazy_paths]
-        clean_list = [load_image(p) for p in clean_paths]
-        shapes = {im.shape for im in hazy_list + clean_list}
-        if len(shapes) != 1:
-            raise DataError(f"training images disagree in shape: {shapes}")
-        hazy = np.concatenate(hazy_list, axis=0)
-        clean = np.concatenate(clean_list, axis=0)
-        print(f"loaded {len(names)} pairs from {args.hazy_dir}")
-    else:
-        hazy, clean = make_toy_dataset(args.synth_pairs, args.synth_size,
-                                       args.seed)
-        print(f"generated {args.synth_pairs} synthetic pairs "
-              f"({args.synth_size}x{args.synth_size})")
-
-    result = train_loop((hazy, clean), cfg, flow_cfg, width=args.width,
-                        lut_size=args.lut_size)
-    result.restore_best()
-    print(history_table(result.history), file=log)
+        print(source)
+        result = train_loop(pairs, cfg, flow_cfg, net=net, lut=lut)
+        result.restore_best()
+        print(history_table(result.history), file=log)
     print(f"best val L1 {result.best_val:.6f} at epoch {result.best_epoch}")
 
     save_checkpoint(args.out, result.net, result.lut, flow_cfg,
@@ -103,6 +87,22 @@ def _train(args, cfg: TrainConfig, flow_cfg: FlowConfig, log) -> int:
                               "best_epoch": result.best_epoch})
     print(f"checkpoint written to {args.out}")
     return 0
+
+
+def _training_pairs(args):
+    """(hazy, clean) arrays, and a line that says where they came from."""
+    if args.hazy_dir:
+        names, hazy_paths, clean_paths = _load_pair_dirs(args.hazy_dir, args.clean_dir)
+        hazy_list = [load_image(p) for p in hazy_paths]
+        clean_list = [load_image(p) for p in clean_paths]
+        shapes = {im.shape for im in hazy_list + clean_list}
+        if len(shapes) != 1:
+            raise DataError(f"training images disagree in shape: {shapes}")
+        pairs = (np.concatenate(hazy_list, axis=0), np.concatenate(clean_list, axis=0))
+        return pairs, f"loaded {len(names)} pairs from {args.hazy_dir}"
+    pairs = make_toy_dataset(args.synth_pairs, args.synth_size, args.seed)
+    return pairs, (f"generated {args.synth_pairs} synthetic pairs "
+                   f"({args.synth_size}x{args.synth_size})")
 
 
 def _load_model(args):
@@ -288,9 +288,11 @@ def _read_config_flags(path: str) -> list[str]:
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise DataError(f"{path}:{lineno}: expected key=value")
         key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise DataError(f"{path}:{lineno}: expected key=value")
+        if "config".startswith(key.replace("_", "-")):  # --config or a prefix of it
+            raise DataError(f"{path}:{lineno}: a config file cannot set config")
         flags.extend(["--" + key.replace("_", "-"), value])
     return flags
 

@@ -149,17 +149,17 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
         else:
             acc += np.multiply(vals, w, out=vals)
 
-    def _bwd(g, a=x, gr=grid):
+    def _bwd(g, nx=x._node, ng=grid._node, grid_dtype=grid.data.dtype):
         lo_hi = _axis_weights(frac)
-        if gr.requires_grad:
+        if ng is not None:
             # one float64 bincount per colour channel over all 8 corners
             lins = np.concatenate([(base + off).ravel() for off in offsets])
             ws = np.stack([lo_hi[0][di] * lo_hi[1][dj] * lo_hi[2][dk]
                            for di, dj, dk in _CORNERS])  # (8, B, H, W)
             gg = np.stack([np.bincount(lins, (ws * g[:, ch]).ravel(), m ** 3)
                            for ch in range(3)], axis=-1)
-            gr._accumulate(gg.astype(gr.data.dtype).reshape(gr.data.shape))
-        if a.requires_grad:
+            ng._accumulate(gg.astype(grid_dtype).reshape(m, m, m, 3))
+        if nx is not None:
             # a corner's weight has partial +-wg*wb in r (likewise g, b);
             # each weighs the corner's value dotted with the output grad
             gc = g.transpose(1, 0, 2, 3)
@@ -171,7 +171,7 @@ def trilinear_apply(x: Tensor, lut: Lut3D) -> Tensor:
                 gxc[0] += _SIGN[di] * wg * wb * s
                 gxc[1] += wr * _SIGN[dj] * wb * s
                 gxc[2] += wr * wg * _SIGN[dk] * s
-            a._accumulate((gx * scale).astype(a.data.dtype, copy=False))
+            nx._accumulate((gx * scale).astype(frac.dtype, copy=False))
     return Tensor._result(out_data.astype(data.dtype, copy=False), (x, grid),
                           "trilinear_apply", _bwd)
 

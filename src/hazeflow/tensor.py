@@ -59,38 +59,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """A numpy-backed array that can participate in reverse-mode autodiff."""
+class Node:
+    """One vertex of the recorded graph: the gradient arriving at it, its
+    parents' nodes (None for a parent that takes no gradient), the backward
+    closure and the op name. A leaf's node has no parents and no op."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
+    __slots__ = ("grad", "_parents", "_backward", "_op")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, parents: tuple = (), backward=None, op: Optional[str] = None):
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._op: Optional[str] = None
-
-    # -- construction of graph nodes -------------------------------------
-
-    @staticmethod
-    def _result(data: np.ndarray, parents: Iterable["Tensor"], op: str,
-                backward: Callable[[np.ndarray], None]) -> "Tensor":
-        # the one recording rule: the result joins the graph, keeping its
-        # parents and `backward`, iff gradients are enabled and a parent
-        # requires grad; a recorded node requires grad itself
-        out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        parents = tuple(parents)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad, out._parents = True, parents
-            out._backward, out._op = backward, op
-        else:
-            out.requires_grad, out._parents = False, ()
-            out._backward = out._op = None
-        return out
+        self._parents, self._backward, self._op = parents, backward, op
 
     def _accumulate(self, grad: np.ndarray) -> None:
         # grads are never mutated in place after creation, so the first
@@ -99,6 +77,55 @@ class Tensor:
             self.grad = grad
         else:
             self.grad = self.grad + grad
+
+
+def _on_node(name: str, empty=None) -> property:
+    # a Tensor attribute kept on its node, `empty` when it has none
+    def put(t, value):
+        if t._node is not None:
+            setattr(t._node, name, value)
+        elif value is not None:
+            raise GraphError(f"cannot set {name} of a tensor that takes no gradient")
+    return property(lambda t: empty if t._node is None else getattr(t._node, name), put)
+
+
+class Tensor:
+    """A numpy array and, when it takes a gradient, its graph node."""
+
+    __slots__ = ("data", "_node")
+
+    def __init__(self, data: ArrayLike, requires_grad: bool = False, dtype=None):
+        self.data = _as_array(data, dtype)
+        self._node: Optional[Node] = Node() if requires_grad else None
+
+    grad = _on_node("grad")
+    _backward = _on_node("_backward")  # settable: a tracer may wrap it
+    _parents = _on_node("_parents", ())
+    _op = _on_node("_op")
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self._node = (self._node or Node()) if flag else None
+
+    # -- construction of graph nodes -------------------------------------
+
+    @staticmethod
+    def _result(data: np.ndarray, parents: Iterable["Tensor"], op: str,
+                backward: Callable[[np.ndarray], None]) -> "Tensor":
+        # the one recording rule: the result gets a node, holding its
+        # parents' nodes and `backward`, iff gradients are enabled and a
+        # parent requires grad. `backward` closes over nodes and the arrays
+        # it reads, never a Tensor, so a dropped result's data is freed
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        nodes = tuple(p._node for p in parents)
+        recorded = _grad_enabled and any(n is not None for n in nodes)
+        out._node = Node(nodes, backward, op) if recorded else None
+        return out
 
     # -- basic properties --------------------------------------------------
 
@@ -126,7 +153,8 @@ class Tensor:
         computation, when no seed gradient is given for a non-scalar, or
         when the graph reaches a node an earlier backward() released.
         """
-        if self._op is None:
+        root = self._node
+        if root is None or root._op is None:
             raise GraphError(
                 "backward() called on a tensor that is not connected to a "
                 "recorded computation"
@@ -140,9 +168,9 @@ class Tensor:
 
         # Iterative DFS: unrolled solver graphs get deep enough to overflow
         # Python's recursion limit.
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -156,10 +184,10 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited:
+                if parent is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        root._accumulate(grad)
         while topo:
             node = topo.pop()
             if node._backward is not None and node.grad is not None:
@@ -176,15 +204,20 @@ class Tensor:
         return Tensor(np.asarray(other, dtype=self.data.dtype))
 
     def _binary(self, other, op: str, fwd, grad_a, grad_b):
-        # grad_a / grad_b map (g, a, b) to each operand's gradient before
-        # it is summed down to the operand's shape
+        # grad_a / grad_b map (g, a, b) to each operand's gradient before it
+        # is summed down to the operand's shape; a and b are None unless a
+        # gradient reads them (mul's the other operand, div's b, and b's a)
         other = self._coerce(other)
+        na, nb = self._node, other._node
+        sa, sb = self.data.shape, other.data.shape
+        a = self.data if nb is not None and op in ("mul", "div") else None
+        b = other.data if op == "div" or (op == "mul" and na is not None) else None
 
-        def _bwd(g, a=self, b=other):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(grad_a(g, a.data, b.data), a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(grad_b(g, a.data, b.data), b.data.shape))
+        def _bwd(g):
+            if na is not None:
+                na._accumulate(_unbroadcast(grad_a(g, a, b), sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(grad_b(g, a, b), sb))
         return Tensor._result(fwd(self.data, other.data), (self, other), op, _bwd)
 
     def __add__(self, other):
@@ -211,13 +244,14 @@ class Tensor:
     # -- elementwise nonlinearities ------------------------------------------
 
     def abs(self):
-        return Tensor._result(np.abs(self.data), (self,), "abs",
-                              lambda g: self._accumulate(g * np.sign(self.data)))
+        n, d = self._node, self.data
+        return Tensor._result(np.abs(d), (self,), "abs",
+                              lambda g: n._accumulate(g * np.sign(d)))
 
     def clamp(self, lo: float, hi: float):
-        def _bwd(g, a=self):
-            inside = (a.data >= lo) & (a.data <= hi)
-            a._accumulate(g * inside.astype(a.data.dtype))
+        def _bwd(g, n=self._node, d=self.data):
+            inside = (d >= lo) & (d <= hi)
+            n._accumulate(g * inside.astype(d.dtype))
         return Tensor._result(np.clip(self.data, lo, hi), (self,), "clamp", _bwd)
 
     def sigmoid(self):
@@ -225,23 +259,23 @@ class Tensor:
         e = np.exp(-np.abs(x))
         d = 1.0 + e
         s = np.where(x >= 0, 1.0 / d, e / d)
-        s = s.astype(x.dtype, copy=False)
+        s, n = s.astype(x.dtype, copy=False), self._node
         return Tensor._result(s, (self,), "sigmoid",
-                              lambda g: self._accumulate(g * s * (1.0 - s)))
+                              lambda g: n._accumulate(g * s * (1.0 - s)))
 
     # -- reductions ------------------------------------------------------------
 
     def sum(self):
-        d = self.data
-        return Tensor._result(np.asarray(d.sum(), dtype=d.dtype), (self,), "sum",
-                              lambda g: self._accumulate(np.broadcast_to(
-                                  g, d.shape).astype(d.dtype, copy=False)))
+        n, shape, dtype = self._node, self.data.shape, self.data.dtype
+        return Tensor._result(np.asarray(self.data.sum(), dtype=dtype), (self,), "sum",
+                              lambda g: n._accumulate(np.broadcast_to(
+                                  g, shape).astype(dtype, copy=False)))
 
     def mean(self):
-        d = self.data
-        return Tensor._result(np.asarray(d.mean(), dtype=d.dtype), (self,), "mean",
-                              lambda g: self._accumulate(np.broadcast_to(
-                                  g / d.size, d.shape).astype(d.dtype, copy=False)))
+        n, shape, dtype, size = self._node, self.data.shape, self.data.dtype, self.data.size
+        return Tensor._result(np.asarray(self.data.mean(), dtype=dtype), (self,), "mean",
+                              lambda g: n._accumulate(np.broadcast_to(
+                                  g / size, shape).astype(dtype, copy=False)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +294,9 @@ def gelu(x: Tensor) -> Tensor:
     erfc(cdf, out=cdf)
     cdf *= 0.5
 
-    def _bwd(g, a=x):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        a._accumulate(g * (cdf + a.data * pdf.astype(a.data.dtype, copy=False)))
+    def _bwd(g, n=x._node):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
+        n._accumulate(g * (cdf + d * pdf.astype(d.dtype, copy=False)))
     return Tensor._result(d * cdf, (x,), "gelu", _bwd)
 
 
@@ -340,20 +374,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         out_data += bias.data.reshape(1, c_out, 1, 1)
 
-    def _bwd(g, a=x, wt=weight, bt=bias):
-        if wt.requires_grad:
+    def _bwd(g, xd=x.data, wd=weight.data, nx=x._node, nw=weight._node,
+             nb=None if bias is None else bias._node):
+        if nw is not None:
             # the same strips as the forward, built again: the graph keeps
             # neither the columns nor a padded copy of the input
             g2 = g.reshape(b, c_out, -1)
             gw = np.zeros((c_out, c_in * k * k), dtype=g.dtype)
-            for r0, r1, cols in _column_blocks(a.data, k):
+            for r0, r1, cols in _column_blocks(xd, k):
                 gs = g2[:, :, r0 * w:r1 * w]
                 gw += np.matmul(gs, cols.transpose(0, 2, 1)).sum(axis=0)
-            wt._accumulate(gw.reshape(wt.data.shape))
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(g.sum(axis=(0, 2, 3)))
-        if a.requires_grad:
-            a._accumulate(_correlate(g, wt.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
+            nw._accumulate(gw.reshape(kshape))
+        if nb is not None:
+            nb._accumulate(g.sum(axis=(0, 2, 3)))
+        if nx is not None:
+            nx._accumulate(_correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._result(out_data, parents, "conv2d", _bwd)
@@ -380,7 +415,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     np.maximum(out_data, quads[2], out=out_data)
     np.maximum(out_data, quads[3], out=out_data)
 
-    def _bwd(g, a=x):
+    def _bwd(g, n=x._node):
         # the first maximal element of each window takes the gradient
         gp = np.zeros(xp.shape, dtype=g.dtype)
         free = np.ones(g.shape, dtype=bool)
@@ -392,7 +427,7 @@ def maxpool2d(x: Tensor) -> Tensor:
             gp[:, :, h - 1, :] += gp[:, :, h, :]
         if pad_w:
             gp[:, :, :, w - 1] += gp[:, :, :, w]
-        a._accumulate(np.ascontiguousarray(gp[:, :, :h, :w]))
+        n._accumulate(np.ascontiguousarray(gp[:, :, :h, :w]))
     return Tensor._result(out_data, (x,), "maxpool2d", _bwd)
 
 
@@ -429,8 +464,8 @@ def upsample_bilinear2x(x: Tensor) -> Tensor:
     """Bilinear 2x spatial upsampling, align_corners=False."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample expects a rank-4 input, got shape {x.shape}")
-    out_data = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3)
-    return Tensor._result(out_data, (x,), "upsample_bilinear2x", lambda g: x._accumulate(
+    out_data, n = _upsample2x_axis(_upsample2x_axis(x.data, 2), 3), x._node
+    return Tensor._result(out_data, (x,), "upsample_bilinear2x", lambda g: n._accumulate(
         _upsample2x_axis_adjoint(_upsample2x_axis_adjoint(g, 3), 2)))
 
 
@@ -456,18 +491,18 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out_data *= gain.data.reshape(1, c, 1, 1)
     out_data += bias.data.reshape(1, c, 1, 1)
 
-    def _bwd(g, a=x, gn=gain, bs=bias):
+    def _bwd(g, xd=x.data, gd=gain.data, nx=x._node, ng=gain._node, nb=bias._node):
         # the normalised input again, from the (B, C, 1, 1) statistics
-        yv = (a.data - mu) * inv
-        if gn.requires_grad:
-            gn._accumulate((g * yv).sum(axis=(0, 2, 3)))
-        if bs.requires_grad:
-            bs._accumulate(g.sum(axis=(0, 2, 3)))
-        if a.requires_grad:
-            gy = g * gn.data.reshape(1, c, 1, 1)
+        yv = (xd - mu) * inv
+        if ng is not None:
+            ng._accumulate((g * yv).sum(axis=(0, 2, 3)))
+        if nb is not None:
+            nb._accumulate(g.sum(axis=(0, 2, 3)))
+        if nx is not None:
+            gy = g * gd.reshape(1, c, 1, 1)
             m1 = gy.mean(axis=(2, 3), keepdims=True)
             m2 = (gy * yv).mean(axis=(2, 3), keepdims=True)
-            a._accumulate(inv * (gy - m1 - yv * m2))
+            nx._accumulate(inv * (gy - m1 - yv * m2))
     return Tensor._result(out_data, (x, gain, bias), "instance_norm", _bwd)
 
 
@@ -477,14 +512,14 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.ndim != 4:
             raise ShapeError("concat_channels expects rank-4 tensors")
     out_data = np.concatenate([t.data for t in tensors], axis=1)
-    ts = tuple(tensors)
+    nodes, widths = [t._node for t in tensors], [t.data.shape[1] for t in tensors]
 
     def _bwd(g):
-        offs = np.cumsum([0] + [t.data.shape[1] for t in ts])
-        for t, o0, o1 in zip(ts, offs[:-1], offs[1:]):
-            if t.requires_grad:
-                t._accumulate(np.ascontiguousarray(g[:, o0:o1]))
-    return Tensor._result(out_data, ts, "concat", _bwd)
+        offs = np.cumsum([0] + widths)
+        for n, o0, o1 in zip(nodes, offs[:-1], offs[1:]):
+            if n is not None:
+                n._accumulate(np.ascontiguousarray(g[:, o0:o1]))
+    return Tensor._result(out_data, tensors, "concat", _bwd)
 
 
 def crop2d(x: Tensor, height: int, width: int) -> Tensor:
@@ -495,10 +530,10 @@ def crop2d(x: Tensor, height: int, width: int) -> Tensor:
     if height == h and width == w:
         return x
 
-    def _bwd(g, a=x):
-        gx = np.zeros_like(a.data)
+    def _bwd(g, n=x._node, dtype=x.data.dtype):
+        gx = np.zeros((b, c, h, w), dtype=dtype)
         gx[:, :, :height, :width] = g
-        a._accumulate(gx)
+        n._accumulate(gx)
     return Tensor._result(np.ascontiguousarray(x.data[:, :, :height, :width]), (x,),
                           "crop2d", _bwd)
 

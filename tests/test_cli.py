@@ -524,6 +524,21 @@ class TestUsageAndConfig:
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "not UTF-8" in err
 
+    # argparse would take `conf` for --config as well; an empty key would
+    # turn into "--", which ends argparse's options
+    @pytest.mark.parametrize("line, message", [
+        ("config = absent.cfg", "a config file cannot set config"),
+        ("conf = absent.cfg", "a config file cannot set config"),
+        ("= 5", "expected key=value")])
+    def test_bad_config_line_is_data_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"steps = 1\n{line}\n")
+        rc = main(["bench", "--config", str(cfg), "--height", "8", "--width", "8",
+                   "--net-width", "2", "--lut-size", "3", "--tile", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == f"data error: {cfg}:2: {message}\n"
+
 
 @pytest.mark.parametrize("command", ["dehaze", "eval-out", "train-out", "loss-log"])
 def test_output_in_missing_directory_is_data_error(tmp_path, hazy_ppm, capsys, command):
@@ -565,7 +580,10 @@ def test_train_checks_its_outputs_before_the_first_epoch(tmp_path, capsys, flag)
     assert not (tmp_path / "absent").exists()
 
 
-@pytest.mark.parametrize("bad", [["--epochs", "0"], ["--hazy-dir", "absent"]])
+@pytest.mark.parametrize("bad", [["--epochs", "0"], ["--hazy-dir", "absent"],
+                                 ["--width", "0", "--synth-size", "8"],
+                                 ["--lut-size", "1"], ["--synth-pairs", "0"],
+                                 ["--synth-size", "0"]])
 def test_train_usage_error_leaves_the_loss_log_alone(tmp_path, bad):
     log = tmp_path / "loss.txt"
     log.write_text("an earlier run\n")

@@ -2,6 +2,7 @@
 
 import operator
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -246,6 +247,67 @@ class TestBackward:
             y.backward()
 
 
+class TestGraphKeepsOnlyWhatBackwardReads:
+    def test_dropped_upsample_output_is_freed(self, rng):
+        # concat's backward reads only shapes, so nothing keeps up.data
+        x = tensor(rng, (1, 2, 3, 3))
+        up = upsample_bilinear2x(x)
+        ref = weakref.ref(up.data)
+        out = concat_channels([up, tensor(rng, (1, 1, 6, 6))])
+        del up
+        assert ref() is None
+        out.backward(np.ones_like(out.data))
+        # every input sample's taps sum to 2 along each axis
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 4.0, dtype=np.float32))
+
+    def test_dropped_product_is_freed(self, rng):
+        # (x * 2) * 3: the constant's gradient is never taken, so the outer
+        # mul keeps the constant only, not x * 2
+        x = tensor(rng, (2, 3))
+        y = x * 2.0
+        ref = weakref.ref(y.data)
+        z = y * 3.0
+        del y
+        assert ref() is None
+        z.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 6.0, dtype=np.float32))
+
+    def test_operand_read_by_a_gradient_is_kept(self, rng):
+        y, w = tensor(rng, (2, 3), requires_grad=False), tensor(rng, (2, 3))
+        expected = y.data.copy()
+        ref = weakref.ref(y.data)
+        z = y * w
+        del y
+        assert ref() is not None
+        z.sum().backward()
+        np.testing.assert_array_equal(w.grad, expected)
+
+    def test_assigned_backward_routes_the_nodes_backward(self, rng):
+        # a tracer wraps each result's backward by assigning out._backward
+        x = tensor(rng, (2, 3))
+        out = x * 2.0
+        seen, inner = [], out._backward
+
+        def wrapper(g):
+            seen.append(g.shape)
+            return inner(g)
+        out._backward = wrapper
+        assert out._backward is wrapper
+        out.sum().backward()
+        assert seen == [(2, 3)]
+        np.testing.assert_array_equal(x.grad, np.full(x.shape, 2.0, dtype=np.float32))
+
+    def test_requires_grad_can_be_switched_on_and_off(self, rng):
+        x = tensor(rng, (2, 3), requires_grad=False)
+        with pytest.raises(GraphError):
+            x.grad = np.ones(x.shape, dtype=np.float32)
+        x.requires_grad = True
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+        x.requires_grad = False
+        assert x.grad is None and not (x * x).requires_grad
+
+
 # every op that records a graph node: (op, input shapes)
 _X = (1, 3, 4, 4)
 _RECORDING_OPS = {
@@ -292,7 +354,7 @@ def test_recording_rule(name):
         out = op(*xs)
         assert out.requires_grad and out._op is not None and out._backward is not None
         assert len(out._parents) == n
-        assert all(p is x for p, x in zip(out._parents, xs))
+        assert all(p is x._node for p, x in zip(out._parents, xs))
         out.backward(np.ones_like(out.data))
         assert [x.grad is not None for x in xs] == requires
 

@@ -31,14 +31,14 @@ def _fixture_width_step():
 class TestGraphRelease:
     def test_backward_clears_interior_nodes_and_keeps_leaf_grads(self):
         result, loss, net, lut = _fixture_width_step()
-        nodes, stack, seen = [], [loss], set()
+        nodes, stack, seen = [], [loss._node], set()
         while stack:
             node = stack.pop()
             if id(node) not in seen:
                 seen.add(id(node))
                 nodes.append(node)
-                stack.extend(node._parents)
-        assert any(n is result.raw_final for n in nodes)
+                stack.extend(p for p in node._parents if p is not None)
+        assert any(n is result.raw_final._node for n in nodes)
         loss.backward()
         interior = [n for n in nodes if n._op is not None]
         assert len(interior) > 100
