@@ -44,7 +44,8 @@ batch 4, inputs of seed `--seed-base` + 700) at 64x64 RK4 x2 and at
 The output holds, per side and metric, the median and quartiles of the
 pairs, how many pairs the change won on each end-to-end metric (direction
 from BENCHMARK.json), the failed/attempted counts, the seeds, the commit
-and `src/` tree ids of both checkouts, and perfbench's `env` line.
+and `src/` tree ids of both checkouts with their `src/hazeflow/*.py` line
+counts, and perfbench's `env` line.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import filecmp
 import hashlib
 import json
 import os
+import pathlib
 import statistics
 import subprocess
 import sys
@@ -98,6 +100,9 @@ def git_ids(path):
     dirty = subprocess.run(["git", "status", "--porcelain", "src", "perfbench"],
                            cwd=path, capture_output=True, text=True)
     ids["src_clean"] = dirty.returncode == 0 and not dirty.stdout.strip()
+    # what `wc -l src/hazeflow/*.py` totals
+    ids["src_lines"] = sum(p.read_bytes().count(b"\n")
+                           for p in pathlib.Path(path, "src", "hazeflow").glob("*.py"))
     return ids
 
 

@@ -20,8 +20,11 @@ from .metrics import SSIM_WINDOW, evaluate_pairs
 from .tiling import dehaze
 from .training import TrainConfig, make_toy_dataset, train_loop
 
-SUITES = ("lut", "lambda", "solver")
-LUT_SETTINGS = ("removed", "fixed", "learnable")
+SUITES = {"lut": "Haze-LUT", "lambda": "lambda", "solver": "ODE solver"}  # name -> block title
+# each row's LUT, built just before it trains: training changes a learnable grid in place
+_LUT_BUILDERS = {"removed": lambda size: None, "fixed": fixed_contrast_saturation_lut,
+                 "learnable": identity_lut}
+LUT_SETTINGS = tuple(_LUT_BUILDERS)
 LAMBDA_SETTINGS = (0.1, 0.5, 1.0)
 LAMBDA, LR, BATCH_SIZE = 0.5, 3e-3, 4  # shared by every row; LAMBDA outside the lambda suite
 
@@ -59,14 +62,14 @@ def grid_checksum(lut: Lut3D) -> int:
     return zlib.crc32(np.ascontiguousarray(lut.grid.data).tobytes())
 
 
-def _run_one(acfg: AblationConfig, suite: str, setting: str, lam: float,
-             solver: str, lut: Optional[Lut3D]) -> AblationRow:
-    hazy, clean = make_toy_dataset(acfg.n_pairs, acfg.size, acfg.seed)
+def _run_one(acfg: AblationConfig, pairs: tuple[np.ndarray, np.ndarray], suite: str,
+             setting: str, lam: float, solver: str, lut: Optional[Lut3D]) -> AblationRow:
+    hazy, clean = pairs
     cfg = TrainConfig(lr=LR, batch_size=BATCH_SIZE, epochs=acfg.epochs,
                       seed=acfg.seed)
     flow_cfg = FlowConfig(solver=solver, steps=acfg.steps, lam=lam)
     before = None if lut is None else grid_checksum(lut)
-    result = train_loop((hazy, clean), cfg, flow_cfg, lut=lut,
+    result = train_loop(pairs, cfg, flow_cfg, lut=lut,
                         width=acfg.width, lut_size=acfg.lut_size)
     result.restore_best()
     after = None if result.lut is None else grid_checksum(result.lut)
@@ -82,35 +85,22 @@ def run_suite(suite: str, acfg: Optional[AblationConfig] = None,
               lambdas: Sequence[float] = LAMBDA_SETTINGS) -> list[AblationRow]:
     """Run one ablation suite; rows share data, seed, and base config."""
     if suite not in SUITES:
-        raise ValueError(f"unknown ablation suite {suite!r}, expected one of {SUITES}")
+        raise ValueError(f"unknown ablation suite {suite!r}, expected one of {tuple(SUITES)}")
     acfg = acfg or AblationConfig()
-    rows = []
+    # one (setting, lam, solver, LUT kind) per row
     if suite == "lut":
-        for setting in lut_settings:
-            if setting == "removed":
-                rows.append(_run_one(acfg, suite, "removed", lam=0.0,
-                                     solver=acfg.solver, lut=None))
-            elif setting == "fixed":
-                lut = fixed_contrast_saturation_lut(acfg.lut_size)
-                rows.append(_run_one(acfg, suite, "fixed", lam=LAMBDA,
-                                     solver=acfg.solver, lut=lut))
-            elif setting == "learnable":
-                lut = identity_lut(acfg.lut_size)
-                rows.append(_run_one(acfg, suite, "learnable", lam=LAMBDA,
-                                     solver=acfg.solver, lut=lut))
-            else:
-                raise ValueError(f"unknown LUT setting {setting!r}")
+        rows = [(s, 0.0 if s == "removed" else LAMBDA, acfg.solver, s) for s in lut_settings]
     elif suite == "lambda":
-        for lam in lambdas:
-            lut = identity_lut(acfg.lut_size) if lam > 0 else None
-            rows.append(_run_one(acfg, suite, f"{lam:g}", lam=float(lam),
-                                 solver=acfg.solver, lut=lut))
+        rows = [(f"{lam:g}", float(lam), acfg.solver, "learnable" if lam > 0 else "removed")
+                for lam in lambdas]
     else:
-        for solver in SOLVERS:
-            lut = identity_lut(acfg.lut_size)
-            rows.append(_run_one(acfg, suite, solver, lam=LAMBDA,
-                                 solver=solver, lut=lut))
-    return rows
+        rows = [(solver, LAMBDA, solver, "learnable") for solver in SOLVERS]
+    for *_, kind in rows:  # before any row trains
+        if kind not in _LUT_BUILDERS:
+            raise ValueError(f"unknown LUT setting {kind!r}")
+    pairs = make_toy_dataset(acfg.n_pairs, acfg.size, acfg.seed)
+    return [_run_one(acfg, pairs, suite, setting, lam, solver, _LUT_BUILDERS[kind](acfg.lut_size))
+            for setting, lam, solver, kind in rows]
 
 
 def run_all(acfg: Optional[AblationConfig] = None) -> dict[str, list[AblationRow]]:
@@ -118,14 +108,11 @@ def run_all(acfg: Optional[AblationConfig] = None) -> dict[str, list[AblationRow
     return {suite: run_suite(suite, acfg) for suite in SUITES}
 
 
-_BLOCK_TITLES = {"lut": "Haze-LUT", "lambda": "lambda", "solver": "ODE solver"}
-
-
 def format_report(results: dict[str, list[AblationRow]]) -> str:
     """Three-block table (one per suite) with PSNR/SSIM columns."""
     lines = [f"{'ablation':<12} {'setting':<10} {'psnr_db':>9} {'ssim':>7} {'val_l1':>9}"]
     for suite, rows in results.items():
-        title = _BLOCK_TITLES.get(suite, suite)
+        title = SUITES.get(suite, suite)
         for i, row in enumerate(rows):
             label = title if i == 0 else ""
             lines.append(f"{label:<12} {row.setting:<10} {row.mean_psnr:>9.3f} "
@@ -139,14 +126,12 @@ def format_report(results: dict[str, list[AblationRow]]) -> str:
 
 
 def write_reports(results: dict[str, list[AblationRow]], out_dir: str) -> list[str]:
+    """One report per suite, then the combined one; returns their paths."""
+    files = {f"ablation_{suite}.txt": {suite: rows} for suite, rows in results.items()}
+    files["ablation_report.txt"] = results
     paths = []
-    for suite, rows in results.items():
-        path = os.path.join(out_dir, f"ablation_{suite}.txt")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(format_report({suite: rows}) + "\n")
-        paths.append(path)
-    combined = os.path.join(out_dir, "ablation_report.txt")
-    with open(combined, "w", encoding="ascii") as fh:
-        fh.write(format_report(results) + "\n")
-    paths.append(combined)
+    for name, subset in files.items():
+        paths.append(os.path.join(out_dir, name))
+        with open(paths[-1], "w", encoding="ascii") as fh:
+            fh.write(format_report(subset) + "\n")
     return paths

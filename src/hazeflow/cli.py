@@ -58,6 +58,13 @@ def _settings(cls, args, base=None):
     return dataclasses.replace(base or cls(), **given)
 
 
+def _check_out(path: str, flag: str) -> None:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise DataError(f"cannot write {path}: its directory does not exist")
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {flag} {path}: it is a directory")
+
+
 def cmd_train(args) -> int:
     # every check, the model and the data come before --loss-log is
     # opened, which truncates it, and any output after
@@ -65,10 +72,7 @@ def cmd_train(args) -> int:
     flow_cfg = _settings(FlowConfig, args)
     if bool(args.hazy_dir) != bool(args.clean_dir):
         raise ConfigError("train needs --hazy-dir and --clean-dir together")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise DataError(f"cannot write {args.out}: its directory does not exist")
-    if os.path.isdir(args.out):
-        raise DataError(f"cannot write --out {args.out}: it is a directory")
+    _check_out(args.out, "--out")
     net = PurifierNet(width=args.width, seed=cfg.seed)
     lut = lut_from_size(args.lut_size) if flow_cfg.lam > 0 else None
     pairs, source = _training_pairs(args)
@@ -115,6 +119,7 @@ def _load_model(args):
 
 
 def cmd_dehaze(args) -> int:
+    _check_out(args.output, "output")
     net, lut, flow_cfg = _load_model(args)
     image = load_image(args.input)
 
@@ -138,6 +143,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("eval needs --clean-dir")
     if bool(args.pred_dir) == bool(args.hazy_dir):
         raise ConfigError("eval needs one of --pred-dir and --hazy-dir")
+    if args.out:
+        _check_out(args.out, "--out")
     if args.pred_dir:
         names, preds, refs = _load_pair_dirs(args.pred_dir, args.clean_dir)
         report = evaluate_pairs(map(load_image, preds), map(load_image, refs), names)
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("ablate", parents=[common], help="run ablation suites")
-    p.add_argument("suite", choices=SUITES + ("all",))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--out-dir", default=None)
     p.add_argument("--pairs", dest="n_pairs", type=int)
     for flag in ("--seed", "--size", "--epochs", "--width", "--lut-size", "--steps"):

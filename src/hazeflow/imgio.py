@@ -64,6 +64,10 @@ def _read_ppm(path: str) -> tuple[np.ndarray, int]:
     if count * dtype.itemsize > len(data) - pos:
         raise DataError(f"{path}: truncated pixel data")
     raw = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
+    # a sample above maxval would scale past 1.0; at the dtype's own
+    # maximum no sample can exceed it, so the scan is skipped
+    if maxval != np.iinfo(dtype).max and raw.max() > maxval:
+        raise DataError(f"{path}: PPM sample exceeds maxval {maxval}")
     return raw.reshape(height, width, 3), maxval
 
 

@@ -79,14 +79,14 @@ class Node:
             self.grad = self.grad + grad
 
 
-def _on_node(name: str, empty=None) -> property:
-    # a Tensor attribute kept on its node, `empty` when it has none
+def _on_node(name: str) -> property:
+    # a Tensor attribute kept on its node, None when it has none
     def put(t, value):
         if t._node is not None:
             setattr(t._node, name, value)
         elif value is not None:
             raise GraphError(f"cannot set {name} of a tensor that takes no gradient")
-    return property(lambda t: empty if t._node is None else getattr(t._node, name), put)
+    return property(lambda t: None if t._node is None else getattr(t._node, name), put)
 
 
 class Tensor:
@@ -100,8 +100,6 @@ class Tensor:
 
     grad = _on_node("grad")
     _backward = _on_node("_backward")  # settable: a tracer may wrap it
-    _parents = _on_node("_parents", ())
-    _op = _on_node("_op")
 
     @property
     def requires_grad(self) -> bool:

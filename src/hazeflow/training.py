@@ -257,7 +257,8 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
                lut_size: int = 33) -> TrainResult:
     """Fit purifier + LUT on hazy/clean pairs through the unrolled solver.
 
-    The LUT trains iff its grid requires grad. The training pairs double
+    A parameter trains iff it requires grad, the LUT grid included; a
+    frozen one is neither updated nor decayed. The training pairs double
     as the validation set (desk scale). Runs are deterministic for a fixed
     seed. Raises DivergenceError when the loss turns non-finite.
     """
@@ -271,10 +272,8 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
     if lut is None and flow_cfg.lam > 0:
         lut = lut_from_size(lut_size)
 
-    trainable = dict(net.parameters())
-    if lut is not None and lut.grid.requires_grad:
-        trainable["lut.grid"] = lut.grid
-
+    params = dict(net.parameters(), **({} if lut is None else {"lut.grid": lut.grid}))
+    trainable = {name: p for name, p in params.items() if p.requires_grad}
     opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     sched = ReduceLROnPlateau(cfg.lr, patience=cfg.patience, factor=cfg.factor)
     shuffle_rng = np.random.default_rng(cfg.seed + 1)
@@ -285,7 +284,6 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
     best_epoch = -1
     best_state = {"net": net.state(),
                   "lut": None if lut is None else lut.grid.data.copy()}
-    global_step = 0
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -296,11 +294,9 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
             target = Tensor(clean[idx])
             result = integrate(x0, net, lut, flow_cfg)
             loss = l1_loss(result.raw_final, target)
-            global_step += 1
             if not np.isfinite(loss.data):
-                raise DivergenceError(
-                    f"non-finite training loss at step {global_step}",
-                    step=global_step)
+                step = opt.state.step_count + 1
+                raise DivergenceError(f"non-finite training loss at step {step}", step=step)
             opt.zero_grad()
             loss.backward()
             opt.step()

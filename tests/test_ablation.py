@@ -2,9 +2,11 @@
 
 import pytest
 
+from hazeflow import ablation
 from hazeflow.ablation import (AblationConfig, format_report, grid_checksum,
                                run_suite)
 from hazeflow.lut import fixed_contrast_saturation_lut, identity_lut
+from hazeflow.training import make_toy_dataset
 
 
 def cheap_config():
@@ -34,6 +36,24 @@ def test_lambda_suite_rows():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("windows", cheap_config())
+
+
+def test_unknown_lut_setting_rejected_before_any_row_trains(monkeypatch):
+    monkeypatch.setattr(ablation, "train_loop",
+                        lambda *a, **k: pytest.fail("a row trained before the check"))
+    with pytest.raises(ValueError, match="bogus"):
+        run_suite("lut", cheap_config(), lut_settings=("removed", "bogus"))
+
+
+def test_rows_of_a_suite_share_one_dataset(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_toy_dataset(*args)
+    monkeypatch.setattr(ablation, "make_toy_dataset", counted)
+    run_suite("lut", cheap_config())
+    assert len(calls) == 1
 
 
 def test_fixed_lut_differs_from_identity():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -605,6 +606,52 @@ def test_train_rejects_a_directory_as_out_before_the_first_epoch(tmp_path, capsy
     assert "--out" in err and str(out_dir) in err and ".tmp" not in err
     assert out == ""
     assert os.listdir(out_dir) == []
+
+
+@pytest.mark.parametrize("case", ["missing-dir", "dir-as-output", "eval-out-missing-dir"])
+def test_dehaze_and_eval_check_their_output_before_dehazing(tmp_path, hazy_ppm, capsys,
+                                                             monkeypatch, case):
+    monkeypatch.setattr(cli, "dehaze", lambda *a, **k: pytest.fail("dehazed before the check"))
+    hazy_dir, clean_dir = _pair_dirs(tmp_path, np.random.default_rng(0), 1, (16, 16))
+    (tmp_path / "out.ppm").mkdir()
+    model = ["--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1"]
+    argv = {
+        "missing-dir": ["dehaze", str(hazy_ppm), str(tmp_path / "absent" / "out.ppm")],
+        "dir-as-output": ["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm")],
+        "eval-out-missing-dir": ["eval", "--hazy-dir", str(hazy_dir), "--clean-dir",
+                                 str(clean_dir), "--out", str(tmp_path / "absent" / "e.txt")],
+    }[case]
+    capsys.readouterr()
+    rc = main(argv + model)
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert out == ""
+
+
+# every subcommand's positionals and flags, in help order
+_CLI_SURFACE = {
+    "train": "--config --out --epochs --lr --weight-decay --batch-size --patience --factor "
+             "--hazy-dir --clean-dir --synth-pairs --synth-size --loss-log --width "
+             "--lut-size --seed --steps --solver --lambda",
+    "dehaze": "input output --config --checkpoint --tile --overlap --record-trajectory "
+              "--width --lut-size --seed --steps --solver --lambda",
+    "eval": "--config --checkpoint --hazy-dir --pred-dir --clean-dir --out --width "
+            "--lut-size --seed --steps --solver --lambda",
+    "bench": "--config --height --width --net-width --lut-size --tile --overlap --seed "
+             "--steps --solver --lambda",
+    "ablate": "{lut,lambda,solver,all} --config --out-dir --pairs --seed --size --epochs "
+              "--width --lut-size --steps",
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_CLI_SURFACE))
+def test_cli_surface(capsys, sub):
+    assert main([sub, "--help"]) == 0
+    # argparse lists one argument per line, two spaces in: "  -h, --help", "  --out OUT"
+    lines = re.findall(r"^  (\S.*?)(?:  |$)", capsys.readouterr().out, re.M)
+    names = [re.match(r"(?:-\w, )?(\S+)", line).group(1) for line in lines]
+    assert [n for n in names if n != "--help"] == _CLI_SURFACE[sub].split()
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)

@@ -345,16 +345,16 @@ def test_recording_rule(name):
         unrecorded = [op(*_recording_inputs(shapes, [True] * n))]
     unrecorded.append(op(*_recording_inputs(shapes, [False] * n)))
     for out in unrecorded:
-        assert out._backward is None and out._parents == ()
-        assert not out.requires_grad and out._op is None
+        assert out._backward is None and out._node is None
+        assert not out.requires_grad
     # one parent at a time requires grad: recorded, and only it gets .grad
     for i in range(n):
         requires = [j == i for j in range(n)]
         xs = _recording_inputs(shapes, requires)
         out = op(*xs)
-        assert out.requires_grad and out._op is not None and out._backward is not None
-        assert len(out._parents) == n
-        assert all(p is x._node for p, x in zip(out._parents, xs))
+        assert out.requires_grad and out._node._op is not None and out._backward is not None
+        assert len(out._node._parents) == n
+        assert all(p is x._node for p, x in zip(out._node._parents, xs))
         out.backward(np.ones_like(out.data))
         assert [x.grad is not None for x in xs] == requires
 

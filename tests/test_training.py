@@ -271,6 +271,18 @@ class TestTrainLoop:
             if name != "b":
                 assert p.grad is None, name
 
+    def test_frozen_kernel_is_neither_updated_nor_decayed(self):
+        hazy, clean = make_toy_dataset(2, 16, seed=9)
+        net = PurifierNet(width=4, seed=9)
+        kernel, bias = net.params["head.w"], net.params["b"]
+        kernel.requires_grad = False
+        frozen, trained = kernel.data.copy(), bias.data.copy()
+        cfg = TrainConfig(lr=1e-2, weight_decay=1e-2, epochs=2, batch_size=2, seed=9)
+        train_loop((hazy, clean), cfg, FlowConfig(solver="euler", steps=1), net=net,
+                   lut_size=5)
+        assert np.array_equal(kernel.data, frozen)
+        assert not np.array_equal(bias.data, trained)
+
     def test_history_table_layout(self):
         hazy, clean = make_toy_dataset(2, 16, seed=1)
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=1)
