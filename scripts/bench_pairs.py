@@ -15,8 +15,6 @@ did not. It then runs, once per side:
 
 - one traced run (`--trace 1`) per workload, seed `--seed-base` + 900,
   for the per-layer figures;
-- `hazeflow bench --height 2160 --width 3840 --tile 512` at Euler x1, whose
-  peak RSS moves with glibc's mmap threshold, so it is reported only;
 - the tier-1 test suite, for its wall time and summary line.
 
 Then it runs `hazeflow dehaze` from file to file on one seeded 3840x2160
@@ -66,8 +64,6 @@ import numpy as np
 
 SIDES = ("parent", "change")
 PAIRS = 10
-UHD_ARGS = ["bench", "--height", "2160", "--width", "3840", "--tile", "512",
-            "--solver", "euler", "--steps", "1"]
 UHD_DEHAZE_ARGS = ["--checkpoint", "perfbench/fixture/model.hzf", "--tile", "512",
                    "--overlap", "32", "--solver", "euler", "--steps", "1"]
 # runs the CLI, then prints the process's own peak RSS (KiB) on stderr
@@ -167,17 +163,11 @@ def measure_traced(args, workloads, seconds):
 
 
 def hazeflow(path, args):
-    """`hazeflow <args>` in a child: (process, wall s, child's peak RSS MiB)."""
+    """`hazeflow <args>` in a child: (wall s, the child's peak RSS MiB)."""
     proc, wall = run([sys.executable, "-c", CLI_CHILD, *args], path)
     if proc.returncode != 0:
         raise RuntimeError(f"hazeflow {args[0]} in {path} failed:\n{proc.stderr}")
-    return proc, wall, int(proc.stderr.split()[-1]) / 1024.0
-
-
-def measure_uhd(path):
-    proc, wall, _ = hazeflow(path, UHD_ARGS)
-    return {"command": "hazeflow " + " ".join(UHD_ARGS), "wall_s": wall,
-            "report": proc.stdout.strip().splitlines()}
+    return wall, int(proc.stderr.split()[-1]) / 1024.0
 
 
 def measure_uhd_dehaze(args):
@@ -193,8 +183,8 @@ def measure_uhd_dehaze(args):
         for i in range(PAIRS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 dst = os.path.join(tmp, f"{side}.ppm")
-                _, wall, rss = hazeflow(getattr(args, side),
-                                        ["dehaze", src, dst, *UHD_DEHAZE_ARGS])
+                wall, rss = hazeflow(getattr(args, side),
+                                     ["dehaze", src, dst, *UHD_DEHAZE_ARGS])
                 runs[side]["wall_s"].append(wall)
                 runs[side]["peak_rss_mib"].append(rss)
                 print(f"uhd dehaze pair {i} {side}: {wall:.1f} s, "
@@ -328,7 +318,6 @@ def main(argv=None) -> int:
     record["workloads"], record["env"] = measure_pairs(args, declared, directions)
     record["traced"] = measure_traced(args, list(record["workloads"]),
                                       declared["run_seconds"])
-    record["uhd_bench"] = {side: measure_uhd(getattr(args, side)) for side in SIDES}
     record["uhd_dehaze"] = measure_uhd_dehaze(args)
     record["tier1"] = {side: measure_tier1(getattr(args, side)) for side in SIDES}
     with open(args.out, "w", encoding="utf-8") as fh:

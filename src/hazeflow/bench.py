@@ -93,7 +93,7 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
     if height < 1 or width < 1:
         raise ConfigError(f"bench image size {width}x{height} must be at least 1x1")
     net = PurifierNet(width=net_width, seed=seed)
-    lut = lut_from_size(lut_size, requires_grad=False)
+    lut = lut_from_size(lut_size)
     rng = np.random.default_rng(seed)
     image = rng.uniform(0.2, 0.9, size=(1, 3, height, width)).astype(np.float32)
 

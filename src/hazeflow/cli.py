@@ -20,7 +20,7 @@ from .bench import run_bench
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HazeflowError
 from .flow import SOLVERS, FlowConfig
-from .imgio import load_image, save_image
+from .imgio import image_writer, load_image, save_image
 from .lut import lut_from_size
 from .metrics import evaluate_pairs
 from .purifier import PurifierNet
@@ -120,6 +120,7 @@ def _load_model(args):
 
 def cmd_dehaze(args) -> int:
     _check_out(args.output, "output")
+    image_writer(args.output)  # a format that needs Pillow fails here, not after the work
     net, lut, flow_cfg = _load_model(args)
     image = load_image(args.input)
 
@@ -321,7 +322,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
 
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # non-finite values end in DivergenceError
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

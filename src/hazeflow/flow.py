@@ -43,8 +43,8 @@ class FlowConfig:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
-        if not self.lam >= 0:  # NaN fails this too
-            raise ConfigError("lambda must be non-negative")
+        if not 0 <= self.lam < np.inf:  # NaN fails this too
+            raise ConfigError("lambda must be finite and non-negative")
 
     @property
     def dt(self) -> float:

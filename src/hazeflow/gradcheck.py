@@ -15,18 +15,16 @@ from .tensor import Tensor
 
 
 def numerical_gradient(f: Callable[[], Tensor], leaf: Tensor, h: float,
-                       positions=None) -> np.ndarray:
-    """Central-difference gradient of the scalar f() w.r.t. one leaf tensor.
+                       positions) -> np.ndarray:
+    """Central-difference gradient of the scalar f() w.r.t. one leaf tensor,
+    at the given flat positions of the leaf, as a 1-D array.
 
-    f is re-evaluated with each element of the leaf perturbed by +/- h;
-    the leaf's data is restored afterwards. With `positions` (flat
-    indices) only those elements are differenced and a 1-D array is
-    returned; otherwise the whole gradient, in the leaf's shape.
+    f is re-evaluated with each of those elements perturbed by +/- h;
+    the leaf's data is restored afterwards.
     """
     flat = leaf.data.reshape(-1)
-    idx = range(flat.size) if positions is None else positions
-    grad = np.empty(len(idx), dtype=np.float64)
-    for j, i in enumerate(idx):
+    grad = np.empty(len(positions), dtype=np.float64)
+    for j, i in enumerate(positions):
         orig = flat[i]
         flat[i] = orig + h
         f_plus = float(f().data)
@@ -34,7 +32,7 @@ def numerical_gradient(f: Callable[[], Tensor], leaf: Tensor, h: float,
         f_minus = float(f().data)
         flat[i] = orig
         grad[j] = (f_plus - f_minus) / (2.0 * h)
-    return grad if positions is not None else grad.reshape(leaf.data.shape)
+    return grad
 
 
 def violation_ratio(analytic, numeric, rtol: float, atol: float) -> float:

@@ -19,7 +19,7 @@ import zlib
 import numpy as np
 
 from .errors import DataError
-from .tensor import _STRIP_ELEMS, Tensor
+from .tensor import _STRIP_ELEMS
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_CHANNELS = {0: 1, 2: 3, 4: 2, 6: 4}  # colour type -> samples per pixel
@@ -251,7 +251,7 @@ def load_image(path: str) -> np.ndarray:
 
 
 def _to_hwc(image) -> np.ndarray:
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image)
+    arr = np.asarray(image)
     if arr.ndim == 4:
         if arr.shape[0] != 1:
             raise DataError("can only save a single image, not a batch")
@@ -261,10 +261,30 @@ def _to_hwc(image) -> np.ndarray:
     return arr.transpose(1, 2, 0)
 
 
+def _write_ppm(path: str, samples: np.ndarray) -> None:
+    """Write (H, W, 3) uint8 or big-endian uint16 samples as a binary PPM."""
+    maxval = np.iinfo(samples.dtype).max
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(samples.data)
+
+
+def image_writer(path: str):
+    """write(path, samples) for `path`'s format; raises DataError at once
+    when the format needs Pillow and Pillow is not installed."""
+    ext = os.path.splitext(path)[1].lower()
+    if ext in (".ppm", ".pnm"):
+        return _write_ppm
+    if ext == ".png":
+        return _write_png
+    image_module = _pillow(path, _OTHER_FORMATS)
+    return lambda out, samples: image_module.fromarray(samples).save(out)
+
+
 def save_image(image, path: str, bits: int = 8) -> None:
     """Save a [0, 1] image. PPM supports 8 or 16 bits; PNG and friends use 8."""
-    ext = os.path.splitext(path)[1].lower()
-    ppm = ext in (".ppm", ".pnm")
+    write = image_writer(path)
+    ppm = write is _write_ppm
     if ppm and bits not in (8, 16):
         raise DataError("PPM bit depth must be 8 or 16")
     maxval, dtype = (65535, ">u2") if ppm and bits == 16 else (255, np.uint8)
@@ -275,11 +295,4 @@ def save_image(image, path: str, bits: int = 8) -> None:
         band = np.clip(hwc[y:y + step], 0.0, 1.0).astype(np.float64)
         band *= maxval
         quantized[y:y + step] = np.rint(band, out=band)
-    if ppm:
-        with open(path, "wb") as fh:
-            fh.write(f"P6\n{hwc.shape[1]} {hwc.shape[0]}\n{maxval}\n".encode("ascii"))
-            fh.write(quantized.data)
-    elif ext == ".png":
-        _write_png(path, quantized)
-    else:
-        _pillow(path, _OTHER_FORMATS).fromarray(quantized).save(path)
+    write(path, quantized)

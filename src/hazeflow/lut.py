@@ -26,7 +26,7 @@ _LUMA = (0.299, 0.587, 0.114)
 class Lut3D:
     """MxMxM lattice of output RGB values, learnable via its grid tensor."""
 
-    def __init__(self, grid, c_max: float = 1.0, requires_grad: bool = True):
+    def __init__(self, grid, c_max: float = 1.0):
         data = grid.data if isinstance(grid, Tensor) else np.asarray(grid)
         if data.ndim != 4 or data.shape[3] != 3 or not (
                 data.shape[0] == data.shape[1] == data.shape[2]):
@@ -36,7 +36,7 @@ class Lut3D:
         if isinstance(grid, Tensor):
             self.grid = grid
         else:
-            self.grid = Tensor(data, requires_grad=requires_grad)
+            self.grid = Tensor(data, requires_grad=True)
         self.c_max = float(c_max)
 
     @property
@@ -44,41 +44,37 @@ class Lut3D:
         return self.grid.data.shape[0]
 
 
-def identity_lut(m: int = 33, c_max: float = 1.0, dtype=np.float32,
-                 requires_grad: bool = True) -> Lut3D:
-    """Lattice whose vertex (i, j, k) stores (i, j, k) * C_max / (M - 1)."""
+def identity_lut(m: int = 33, dtype=np.float32, requires_grad: bool = True) -> Lut3D:
+    """Lattice over [0, 1] whose vertex (i, j, k) stores (i, j, k) / (M - 1)."""
     if m < 2:
         raise ShapeError("LUT needs at least 2 bins per channel")
-    axis = np.arange(m, dtype=dtype) * (c_max / (m - 1))
+    axis = np.arange(m, dtype=dtype) * (1.0 / (m - 1))
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    return Lut3D(Tensor(grid.astype(dtype), requires_grad=requires_grad), c_max)
+    return Lut3D(Tensor(grid.astype(dtype), requires_grad=requires_grad))
 
 
-def lut_from_size(m: int, requires_grad: bool = True) -> Lut3D:
+def lut_from_size(m: int) -> Lut3D:
     """Identity LUT for a user-chosen bin count; ConfigError below 2 bins."""
     if m < 2:
         raise ConfigError("a LUT needs at least 2 bins per channel")
-    return identity_lut(m, requires_grad=requires_grad)
+    return identity_lut(m)
 
 
-def fixed_contrast_saturation_lut(m: int = 33, c_max: float = 1.0,
-                                  alpha: float = 1.2, beta: float = 1.2,
-                                  dtype=np.float32) -> Lut3D:
-    """Non-learnable lattice applying contrast then saturation enhancement.
+def fixed_contrast_saturation_lut(m: int = 33, alpha: float = 1.2,
+                                  beta: float = 1.2) -> Lut3D:
+    """Non-learnable float32 lattice applying contrast then saturation enhancement.
 
     On normalized colors: c <- clamp((c - 0.5) * alpha + 0.5), then
     c <- clamp(L + beta * (c - L)) with L the Rec.601 luma.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    ident = identity_lut(m, c_max, dtype=np.float64, requires_grad=False)
-    colors = ident.grid.data / c_max
+    colors = identity_lut(m, dtype=np.float64, requires_grad=False).grid.data
     colors = np.clip((colors - 0.5) * alpha + 0.5, 0.0, 1.0)
     luma = (_LUMA[0] * colors[..., 0] + _LUMA[1] * colors[..., 1]
             + _LUMA[2] * colors[..., 2])[..., None]
     colors = np.clip(luma + beta * (colors - luma), 0.0, 1.0)
-    grid = (colors * c_max).astype(dtype)
-    return Lut3D(Tensor(grid, requires_grad=False), c_max)
+    return Lut3D(Tensor(colors.astype(np.float32), requires_grad=False))
 
 
 def lattice_coords(rgb, lut: Lut3D) -> tuple[float, float, float]:

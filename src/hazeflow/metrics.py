@@ -13,7 +13,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -24,14 +23,9 @@ PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
 
 
-def _as_image(x) -> np.ndarray:
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    return arr.astype(np.float64, copy=False)
-
-
 def psnr(x, y) -> float:
     """PSNR in dB for peak 1, capped at 100 for near-identical pairs."""
-    xa, ya = _as_image(x), _as_image(y)
+    xa, ya = np.asarray(x, np.float64), np.asarray(y, np.float64)
     if xa.shape != ya.shape:
         raise ShapeError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     mse = float(np.mean((xa - ya) ** 2))
@@ -69,7 +63,7 @@ def _ssim_channel(x: np.ndarray, y: np.ndarray, k: np.ndarray) -> float:
 
 def ssim(x, y) -> float:
     """Mean local SSIM (peak 1) over valid windows, averaged over channels."""
-    xa, ya = _as_image(x), _as_image(y)
+    xa, ya = np.asarray(x, np.float64), np.asarray(y, np.float64)
     if xa.shape != ya.shape:
         raise ShapeError(f"shape mismatch: {xa.shape} vs {ya.shape}")
     if xa.ndim == 2:

@@ -204,12 +204,12 @@ class Tensor:
     def _binary(self, other, op: str, fwd, grad_a, grad_b):
         # grad_a / grad_b map (g, a, b) to each operand's gradient before it
         # is summed down to the operand's shape; a and b are None unless a
-        # gradient reads them (mul's the other operand, div's b, and b's a)
+        # gradient reads them (mul's: a's gradient reads b, and b's reads a)
         other = self._coerce(other)
         na, nb = self._node, other._node
         sa, sb = self.data.shape, other.data.shape
-        a = self.data if nb is not None and op in ("mul", "div") else None
-        b = other.data if op == "div" or (op == "mul" and na is not None) else None
+        a = self.data if op == "mul" and nb is not None else None
+        b = other.data if op == "mul" and na is not None else None
 
         def _bwd(g):
             if na is not None:
@@ -233,11 +233,6 @@ class Tensor:
                             lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, "div", operator.truediv,
-                            lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
 
     # -- elementwise nonlinearities ------------------------------------------
 

@@ -45,9 +45,9 @@ def tile_spans(length: int, plan: TilePlan) -> list[tuple[int, int]]:
     return spans
 
 
-def _ramp_in(n: int, dtype=np.float64) -> np.ndarray:
+def _ramp_in(n: int) -> np.ndarray:
     # entering half of a raised-cosine crossfade over n overlapping pixels
-    u = np.arange(1, n + 1, dtype=dtype)
+    u = np.arange(1, n + 1, dtype=np.float64)
     return 0.5 * (1.0 - np.cos(np.pi * u / (n + 1)))
 
 
@@ -134,7 +134,7 @@ def dehaze(x, net: PurifierNet, lut: Lut3D | None, cfg: FlowConfig,
     step instead, step-major: (steps * N, 3, H, W), the last N of which are
     the output.
     """
-    data = x.data if isinstance(x, Tensor) else np.asarray(x)
+    data = np.asarray(x)
 
     def run(tile: np.ndarray) -> np.ndarray:
         with no_grad():

@@ -30,10 +30,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr >= 0:  # NaN fails every comparison
-            raise ConfigError("learning rate must be non-negative")
-        if not self.weight_decay >= 0:
-            raise ConfigError("weight decay must be non-negative")
+        if not 0 <= self.lr < np.inf:  # NaN fails every comparison
+            raise ConfigError("learning rate must be finite and non-negative")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigError("weight decay must be finite and non-negative")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
         if self.patience < 0:

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -231,17 +233,21 @@ def test_bad_checkpoint_field_is_data_error(tmp_path, hazy_ppm, capsys, case):
     assert expected in err
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
+def _exploding_checkpoint(tmp_path):
     # a huge head kernel makes the first field evaluation overflow, so
     # midpoint's and RK4's first stage state is already non-finite
     net = PurifierNet(width=4, seed=0)
     net.params["head.w"].data[...] = 1e38
     ckpt = tmp_path / "exploding.hzf"
     save_checkpoint(str(ckpt), net, identity_lut(5), FlowConfig())
+    return ckpt
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
     with np.errstate(all="ignore"):
         rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
-                   "--checkpoint", str(ckpt), "--tile", "0",
+                   "--checkpoint", str(_exploding_checkpoint(tmp_path)), "--tile", "0",
                    "--solver", solver, "--steps", "2"])
     err = capsys.readouterr().err
     assert rc == 3
@@ -249,10 +255,24 @@ def test_divergence_inside_a_step_exits_3(tmp_path, hazy_ppm, capsys, solver):
     assert "(step 1)" in err
 
 
+def test_divergence_from_the_shell_prints_one_line(tmp_path, hazy_ppm):
+    # a fresh interpreter, outside pytest's warning capture and with no
+    # errstate around main: numpy's overflow warnings must not reach stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hazeflow.cli", "dehaze", str(hazy_ppm),
+         str(tmp_path / "out.ppm"), "--checkpoint", str(_exploding_checkpoint(tmp_path)),
+         "--tile", "0", "--solver", "rk4", "--steps", "2"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("divergence:") and proc.stderr.count("\n") == 1
+
+
 _BAD_CONFIGS = {
     "dehaze_steps_0": ["dehaze", "--steps", "0"],
     "dehaze_negative_lambda": ["dehaze", "--lambda", "-1"],
     "dehaze_nan_lambda": ["dehaze", "--lambda", "nan"],
+    "dehaze_inf_lambda": ["dehaze", "--lambda", "inf"],
     "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
     "dehaze_lut_size_1": ["dehaze", "--lut-size", "1"],
     "bench_lut_size_1": ["bench", "--lut-size", "1"],
@@ -270,6 +290,8 @@ _BAD_CONFIGS = {
     "bench_width_negative": ["bench", "--width", "-1"],
     "train_epochs_0": ["train", "--epochs", "0"],
     "train_nan_lr": ["train", "--lr", "nan"],
+    "train_inf_lr": ["train", "--lr", "inf"],
+    "train_inf_weight_decay": ["train", "--weight-decay", "inf"],
     "train_negative_weight_decay": ["train", "--weight-decay", "-1"],
     "train_negative_patience": ["train", "--patience", "-1"],
     # smaller than the 11-pixel SSIM window that scores every row
@@ -627,6 +649,19 @@ def test_dehaze_and_eval_check_their_output_before_dehazing(tmp_path, hazy_ppm, 
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
     assert out == ""
+
+
+def test_dehaze_checks_its_output_format_before_dehazing(tmp_path, hazy_ppm, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "dehaze", lambda *a, **k: pytest.fail("dehazed before the check"))
+    monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL fails
+    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.jpg"), "--width", "2",
+               "--lut-size", "3", "--solver", "euler", "--steps", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert "Pillow is required" in err
+    assert out == "" and not (tmp_path / "out.jpg").exists()
 
 
 # every subcommand's positionals and flags, in help order

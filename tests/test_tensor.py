@@ -314,7 +314,6 @@ _RECORDING_OPS = {
     "add": (operator.add, [_X, _X]),
     "sub": (operator.sub, [_X, _X]),
     "mul": (operator.mul, [_X, _X]),
-    "div": (operator.truediv, [_X, _X]),
     "abs": (Tensor.abs, [_X]),
     "clamp": (lambda x: x.clamp(0.3, 0.7), [_X]),
     "sigmoid": (Tensor.sigmoid, [_X]),
