@@ -69,8 +69,7 @@ def _run_one(acfg: AblationConfig, pairs: tuple[np.ndarray, np.ndarray], suite: 
                       seed=acfg.seed)
     flow_cfg = FlowConfig(solver=solver, steps=acfg.steps, lam=lam)
     before = None if lut is None else grid_checksum(lut)
-    result = train_loop(pairs, cfg, flow_cfg, lut=lut,
-                        width=acfg.width, lut_size=acfg.lut_size)
+    result = train_loop(pairs, cfg, flow_cfg, lut=lut, width=acfg.width)
     result.restore_best()
     after = None if result.lut is None else grid_checksum(result.lut)
     report = evaluate_pairs((dehaze(h[None], result.net, result.lut, flow_cfg)

@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     _check_out(args.out, "--out")
     net = PurifierNet(width=args.width, seed=cfg.seed)
     lut = lut_from_size(args.lut_size) if flow_cfg.lam > 0 else None
-    pairs, source = _training_pairs(args)
+    pairs, source = _training_pairs(args, cfg.seed)
     with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
             else contextlib.nullcontext() as log:
         print(source)
@@ -93,7 +93,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _training_pairs(args):
+def _training_pairs(args, seed: int):
     """(hazy, clean) arrays, and a line that says where they came from."""
     if args.hazy_dir:
         names, hazy_paths, clean_paths = _load_pair_dirs(args.hazy_dir, args.clean_dir)
@@ -104,18 +104,19 @@ def _training_pairs(args):
             raise DataError(f"training images disagree in shape: {shapes}")
         pairs = (np.concatenate(hazy_list, axis=0), np.concatenate(clean_list, axis=0))
         return pairs, f"loaded {len(names)} pairs from {args.hazy_dir}"
-    pairs = make_toy_dataset(args.synth_pairs, args.synth_size, args.seed)
+    pairs = make_toy_dataset(args.synth_pairs, args.synth_size, seed)
     return pairs, (f"generated {args.synth_pairs} synthetic pairs "
                    f"({args.synth_size}x{args.synth_size})")
 
 
 def _load_model(args):
-    if args.checkpoint:
-        ckpt = load_checkpoint(args.checkpoint)
-        return ckpt.net, ckpt.lut, _settings(FlowConfig, args, ckpt.flow)
-    net = PurifierNet(width=args.width, seed=args.seed)
-    lut = lut_from_size(args.lut_size)
-    return net, lut, _settings(FlowConfig, args)
+    if not args.checkpoint:  # not argparse's required: a config file may give it
+        raise ConfigError(f"{args.command} needs --checkpoint")
+    ckpt = load_checkpoint(args.checkpoint)
+    flow_cfg = _settings(FlowConfig, args, ckpt.flow)
+    if args.lam and ckpt.lut is None:
+        raise ConfigError(f"{args.checkpoint} holds no LUT for --lambda {args.lam} to weight")
+    return ckpt.net, ckpt.lut, flow_cfg
 
 
 def cmd_dehaze(args) -> int:
@@ -203,12 +204,6 @@ def _add_flow_flags(p: argparse.ArgumentParser) -> None:
                    help="LUT weight in the vector field")
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=int, default=16, help="purifier width")
-    p.add_argument("--lut-size", type=int, default=33, help="LUT bins per channel")
-    p.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hazeflow",
@@ -231,32 +226,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth-pairs", type=int, default=16)
     p.add_argument("--synth-size", type=int, default=32)
     p.add_argument("--loss-log", default=None)
-    _add_model_flags(p)
+    p.add_argument("--width", type=int, default=16, help="purifier width")
+    p.add_argument("--lut-size", type=int, default=33, help="LUT bins per channel")
+    p.add_argument("--seed", type=int)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("dehaze", parents=[common], help="dehaze one image")
     p.add_argument("input")
     p.add_argument("output")
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default=None, help="required; a config may give it")
     p.add_argument("--tile", type=int, default=TilePlan.tile,
                    help="tile size for large images; 0 disables tiling")
     p.add_argument("--overlap", type=int, default=TilePlan.overlap)
     p.add_argument("--record-trajectory", default=None, metavar="DIR",
                    help="write step_000.png .. step_NNN.png")
-    _add_model_flags(p)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_dehaze)
 
     p = sub.add_parser("eval", parents=[common],
                        help="metric table over paired directories")
-    p.add_argument("--checkpoint", default=None)
+    p.add_argument("--checkpoint", default=None, help="required with --hazy-dir")
     p.add_argument("--hazy-dir", default=None)
     p.add_argument("--pred-dir", default=None,
                    help="already-dehazed images; skips the model")
     p.add_argument("--clean-dir", default=None, help="required; a config may give it")
     p.add_argument("--out", default=None)
-    _add_model_flags(p)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_eval)
 

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -274,7 +275,6 @@ _BAD_CONFIGS = {
     "dehaze_nan_lambda": ["dehaze", "--lambda", "nan"],
     "dehaze_inf_lambda": ["dehaze", "--lambda", "inf"],
     "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
-    "dehaze_lut_size_1": ["dehaze", "--lut-size", "1"],
     "bench_lut_size_1": ["bench", "--lut-size", "1"],
     "train_negative_lr": ["train", "--lr", "-1"],
     "train_factor_2": ["train", "--factor", "2"],
@@ -284,7 +284,6 @@ _BAD_CONFIGS = {
     "train_width_0": ["train", "--width", "0"],
     "train_lut_size_1": ["train", "--lut-size", "1"],
     "bench_negative_seed": ["bench", "--seed", "-1"],
-    "dehaze_negative_seed": ["dehaze", "--seed", "-1"],
     "train_negative_seed": ["train", "--seed", "-1"],
     "bench_height_0": ["bench", "--height", "0"],
     "bench_width_negative": ["bench", "--width", "-1"],
@@ -303,22 +302,72 @@ _BAD_CONFIGS = {
     "train_clean_dir_alone": ["train", "--clean-dir", "absent"],
     "eval_pred_and_hazy_dirs": ["eval", "--pred-dir", "absent", "--hazy-dir", "absent"],
     "eval_no_dirs": ["eval"],
+    # dehaze and eval take their model from a checkpoint only
+    "dehaze_no_checkpoint": ["dehaze"],
+    "eval_hazy_dir_no_checkpoint": ["eval", "--hazy-dir", "absent"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     cmd, *flags = _BAD_CONFIGS[case]
+    # an untrained model, so each dehaze and eval row fails on its own check
+    ckpt = str(tmp_path / "untrained.hzf")
+    save_checkpoint(ckpt, PurifierNet(width=2), identity_lut(3), FlowConfig())
     paths = {"dehaze": [str(hazy_ppm), str(tmp_path / "out.ppm")],
-             "bench": ["--height", "8", "--tile", "0"],
+             "bench": ["--height", "8", "--width", "8", "--tile", "0"],
              "train": ["--out", str(tmp_path / "out.hzf"), "--epochs", "1",
                        "--synth-size", "8"],
              "ablate": ["solver", "--epochs", "1", "--pairs", "1"],
              "eval": ["--clean-dir", str(tmp_path)]}[cmd]
-    rc = main([cmd, *paths, "--width", "4", "--lut-size", "5", *flags])
+    model = {"dehaze": ["--checkpoint", ckpt], "eval": ["--checkpoint", ckpt],
+             "bench": ["--net-width", "4", "--lut-size", "5"],
+             "train": ["--width", "4", "--lut-size", "5"],
+             "ablate": ["--width", "4", "--lut-size", "5"]}[cmd]
+    if case.endswith("_no_checkpoint"):
+        model = []
+    rc = main([cmd, *paths, *model, *flags])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_dehaze_without_checkpoint_is_usage_error(tmp_path, hazy_ppm, capsys):
+    out = tmp_path / "out.ppm"
+    rc = main(["dehaze", str(hazy_ppm), str(out), "--tile", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dehaze needs --checkpoint\n"
+    assert not out.exists()
+
+
+def test_eval_hazy_dir_without_checkpoint_is_usage_error(tmp_path, rng, capsys):
+    hazy_dir, clean_dir = _pair_dirs(tmp_path, rng, 1, (16, 16))
+    rc = main(["eval", "--hazy-dir", str(hazy_dir), "--clean-dir", str(clean_dir)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err == "error: eval needs --checkpoint\n" and out == ""
+
+
+def test_config_file_supplies_checkpoint(tmp_path, hazy_ppm, tiny_checkpoint):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"checkpoint = {tiny_checkpoint}\n")
+    assert main(["dehaze", str(hazy_ppm), str(tmp_path / "a.ppm"), "--config", str(cfg)]) == 0
+    assert main(["dehaze", str(hazy_ppm), str(tmp_path / "b.ppm"),
+                 "--checkpoint", str(tiny_checkpoint)]) == 0
+    assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+
+def test_lambda_for_a_checkpoint_without_lut_is_usage_error(tmp_path, hazy_ppm, capsys):
+    # what `train --lambda 0` writes: no LUT, so no lambda above 0 can act
+    ckpt = tmp_path / "no_lut.hzf"
+    save_checkpoint(str(ckpt), PurifierNet(width=2), None, FlowConfig(lam=0.0))
+    argv = ["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"), "--checkpoint", str(ckpt)]
+    assert main(argv + ["--lambda", "0"]) == 0
+    capsys.readouterr()
+    rc = main(argv + ["--lambda", "0.9"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1 and "--lambda 0.9" in err
 
 
 def _pair_dirs(root, rng, n, shape):
@@ -572,8 +621,8 @@ def test_output_in_missing_directory_is_data_error(tmp_path, hazy_ppm, capsys, c
     train = ["train", "--epochs", "1", "--synth-pairs", "2", "--synth-size", "8",
              "--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1"]
     argv = {
-        "dehaze": ["dehaze", str(hazy_ppm), missing + ".ppm", "--width", "2",
-                   "--lut-size", "3", "--steps", "1", "--solver", "euler"],
+        "dehaze": ["dehaze", str(hazy_ppm), missing + ".ppm", "--steps", "1",
+                   "--solver", "euler"],
         "eval-out": ["eval", "--pred-dir", str(pairs), "--clean-dir", str(pairs),
                      "--out", missing + ".txt"],
         "train-out": train + ["--out", missing + ".hzf"],
@@ -636,7 +685,7 @@ def test_dehaze_and_eval_check_their_output_before_dehazing(tmp_path, hazy_ppm, 
     monkeypatch.setattr(cli, "dehaze", lambda *a, **k: pytest.fail("dehazed before the check"))
     hazy_dir, clean_dir = _pair_dirs(tmp_path, np.random.default_rng(0), 1, (16, 16))
     (tmp_path / "out.ppm").mkdir()
-    model = ["--width", "2", "--lut-size", "3", "--solver", "euler", "--steps", "1"]
+    flow = ["--solver", "euler", "--steps", "1"]
     argv = {
         "missing-dir": ["dehaze", str(hazy_ppm), str(tmp_path / "absent" / "out.ppm")],
         "dir-as-output": ["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm")],
@@ -644,7 +693,7 @@ def test_dehaze_and_eval_check_their_output_before_dehazing(tmp_path, hazy_ppm, 
                                  str(clean_dir), "--out", str(tmp_path / "absent" / "e.txt")],
     }[case]
     capsys.readouterr()
-    rc = main(argv + model)
+    rc = main(argv + flow)
     out, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
@@ -655,8 +704,8 @@ def test_dehaze_checks_its_output_format_before_dehazing(tmp_path, hazy_ppm, cap
                                                          monkeypatch):
     monkeypatch.setattr(cli, "dehaze", lambda *a, **k: pytest.fail("dehazed before the check"))
     monkeypatch.setitem(sys.modules, "PIL", None)  # import PIL fails
-    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.jpg"), "--width", "2",
-               "--lut-size", "3", "--solver", "euler", "--steps", "1"])
+    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.jpg"),
+               "--solver", "euler", "--steps", "1"])
     out, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
@@ -670,9 +719,9 @@ _CLI_SURFACE = {
              "--hazy-dir --clean-dir --synth-pairs --synth-size --loss-log --width "
              "--lut-size --seed --steps --solver --lambda",
     "dehaze": "input output --config --checkpoint --tile --overlap --record-trajectory "
-              "--width --lut-size --seed --steps --solver --lambda",
-    "eval": "--config --checkpoint --hazy-dir --pred-dir --clean-dir --out --width "
-            "--lut-size --seed --steps --solver --lambda",
+              "--steps --solver --lambda",
+    "eval": "--config --checkpoint --hazy-dir --pred-dir --clean-dir --out --steps "
+            "--solver --lambda",
     "bench": "--config --height --width --net-width --lut-size --tile --overlap --seed "
              "--steps --solver --lambda",
     "ablate": "{lut,lambda,solver,all} --config --out-dir --pairs --seed --size --epochs "
@@ -715,3 +764,20 @@ def test_arbitrary_config_file_exits_0_1_or_2(config_fuzz_path, content):
                "--tile", "0", "--steps", "1", "--solver", "euler",
                "--lambda", "0.5"])
     assert rc in (0, 1, 2)
+
+
+def test_readme_commands_parse():
+    # every `hazeflow ...` line of the README's bash blocks, continuations joined
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```bash\n(.*?)^```", fh.read(), re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("hazeflow ")]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: hazeflow {shlex.join(argv)}")
