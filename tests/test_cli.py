@@ -348,15 +348,6 @@ def test_eval_hazy_dir_without_checkpoint_is_usage_error(tmp_path, rng, capsys):
     assert err == "error: eval needs --checkpoint\n" and out == ""
 
 
-def test_config_file_supplies_checkpoint(tmp_path, hazy_ppm, tiny_checkpoint):
-    cfg = tmp_path / "model.cfg"
-    cfg.write_text(f"checkpoint = {tiny_checkpoint}\n")
-    assert main(["dehaze", str(hazy_ppm), str(tmp_path / "a.ppm"), "--config", str(cfg)]) == 0
-    assert main(["dehaze", str(hazy_ppm), str(tmp_path / "b.ppm"),
-                 "--checkpoint", str(tiny_checkpoint)]) == 0
-    assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
-
-
 def test_lambda_for_a_checkpoint_without_lut_is_usage_error(tmp_path, hazy_ppm, capsys):
     # what `train --lambda 0` writes: no LUT, so no lambda above 0 can act
     ckpt = tmp_path / "no_lut.hzf"
@@ -551,6 +542,16 @@ class TestUsageAndConfig:
         cfg = tmp_path / "eval.cfg"
         cfg.write_text(f"clean_dir = {pairs}\n")
         assert main(["eval", "--pred-dir", str(pairs), "--config", str(cfg)]) == 0
+
+    def test_config_supplies_checkpoint(self, tmp_path, hazy_ppm, tiny_checkpoint):
+        # so --checkpoint cannot be argparse-required: argv is parsed before the file
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"checkpoint = {tiny_checkpoint}\n")
+        assert main(["dehaze", str(hazy_ppm), str(tmp_path / "a.ppm"),
+                     "--config", str(cfg)]) == 0
+        assert main(["dehaze", str(hazy_ppm), str(tmp_path / "b.ppm"),
+                     "--checkpoint", str(tiny_checkpoint)]) == 0
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
 
     def test_eval_without_clean_dir_is_usage_error(self, tmp_path, capsys):
         rc = main(["eval", "--pred-dir", str(tmp_path)])
