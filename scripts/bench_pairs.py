@@ -20,8 +20,8 @@ did not. It then runs, once per side:
 Then it runs `hazeflow dehaze` from file to file on one seeded 3840x2160
 PPM (seed `--seed-base` + 800) with the perfbench fixture checkpoint,
 `--tile 512 --overlap 32 --solver euler --steps 1`, in 10 alternating
-pairs, recording each child's wall time and `ru_maxrss` and whether the
-two sides wrote byte-equal files.
+pairs, recording each child's wall time and `ru_maxrss`, whether the two
+sides wrote byte-equal files and how many bytes differ.
 
 Before the pairs, a child process in each checkout computes the sha256 of
 three identity sets, from the fixture checkpoint and the perfbench inputs
@@ -33,7 +33,9 @@ three identity sets, from the fixture checkpoint and the perfbench inputs
 - the parameters after 5 AdamW steps (lr 1e-3) on 4x64x64 batches through
   RK4 x2.
 
-Both hashes and whether they are equal are recorded per set. A child
+Both hashes and whether they are equal are recorded per set; where they
+differ, so does the largest absolute difference between the two sides'
+arrays, as `max_abs_diff`. A child
 process in each checkout also records, under `graph_peak_mib`, the
 tracemalloc peak of one fixture training step (forward and backward,
 batch 4, inputs of seed `--seed-base` + 700) at 64x64 RK4 x2 and at
@@ -49,7 +51,6 @@ counts, and perfbench's `env` line.
 from __future__ import annotations
 
 import argparse
-import filecmp
 import hashlib
 import json
 import os
@@ -70,11 +71,11 @@ UHD_DEHAZE_ARGS = ["--checkpoint", "perfbench/fixture/model.hzf", "--tile", "512
 CLI_CHILD = ("import resource, sys; from hazeflow.cli import main; "
              "code = main(sys.argv[1:]); print(resource.getrusage("
              "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)")
-# prints bench_pairs.<argv[2]>(seed) as JSON, with the checkout's own
-# hazeflow and perfbench inputs (cwd is the checkout)
+# prints bench_pairs.<argv[2]>(seed, *argv[4:]) as JSON, with the checkout's
+# own hazeflow and perfbench inputs (cwd is the checkout)
 CHECKOUT_CHILD = ("import json, sys; sys.path[:0] = [sys.argv[1], 'perfbench']; "
-                  "import bench_pairs; "
-                  "print(json.dumps(getattr(bench_pairs, sys.argv[2])(int(sys.argv[3]))))")
+                  "import bench_pairs; print(json.dumps(getattr(bench_pairs, sys.argv[2])"
+                  "(int(sys.argv[3]), *sys.argv[4:])))")
 # graph_peaks: (image size, RK4 steps) of each batch-4 training step
 GRAPH_STEPS = {"4x64x64_rk4x2": (64, 2), "4x96x96_rk4x4": (96, 4)}
 
@@ -175,7 +176,7 @@ def measure_uhd_dehaze(args):
     pixels = np.random.default_rng(seed).integers(0, 256, (2160, 3840, 3),
                                                   dtype=np.uint8)
     runs = {side: {"wall_s": [], "peak_rss_mib": []} for side in SIDES}
-    equal = []
+    differing = []
     with tempfile.TemporaryDirectory() as tmp:
         src = os.path.join(tmp, "uhd.ppm")
         with open(src, "wb") as fh:
@@ -189,13 +190,13 @@ def measure_uhd_dehaze(args):
                 runs[side]["peak_rss_mib"].append(rss)
                 print(f"uhd dehaze pair {i} {side}: {wall:.1f} s, "
                       f"{rss:.0f} MiB", flush=True)
-            equal.append(filecmp.cmp(os.path.join(tmp, "parent.ppm"),
-                                     os.path.join(tmp, "change.ppm"),
-                                     shallow=False))
+            differing.append(differing_bytes(os.path.join(tmp, "parent.ppm"),
+                                             os.path.join(tmp, "change.ppm")))
     entry = {"command": "hazeflow dehaze <seeded 3840x2160 PPM> <out> "
                         + " ".join(UHD_DEHAZE_ARGS),
              "seed": seed, "first": [SIDES[i % 2] for i in range(PAIRS)],
-             "outputs_byte_equal": equal, "change_wins": {}}
+             "outputs_byte_equal": [n == 0 for n in differing],
+             "differing_bytes": differing, "change_wins": {}}
     for side in SIDES:
         entry[side] = {name: summary(values) for name, values in runs[side].items()}
     for name in runs["parent"]:
@@ -204,8 +205,19 @@ def measure_uhd_dehaze(args):
     return entry
 
 
-def identity_hashes(seed):
-    """sha256 of the three identity sets, computed by the imported hazeflow."""
+def differing_bytes(path_a, path_b):
+    """How many bytes two files differ in; a length difference counts in full."""
+    a, b = np.fromfile(path_a, dtype=np.uint8), np.fromfile(path_b, dtype=np.uint8)
+    n = min(a.size, b.size)
+    return int(np.count_nonzero(a[:n] != b[:n])) + abs(a.size - b.size)
+
+
+def identity_hashes(seed, save_to=None):
+    """sha256 of the three identity sets, computed by the imported hazeflow.
+
+    With `save_to`, the sets' arrays also go to that .npz file, keyed
+    "<set>.<index>".
+    """
     from hazeflow import AdamW, FlowConfig, Tensor, TilePlan, dehaze, integrate, l1_loss
     from hazeflow.checkpoint import load_checkpoint
     from inputs import make_batch, make_pair
@@ -222,11 +234,11 @@ def identity_hashes(seed):
         return hazy.transpose(2, 0, 1)[None].astype(np.float32) / np.float32(255.0)
 
     ck = load_checkpoint("perfbench/fixture/model.hzf")
-    out = {
-        "dehaze_512_rk4x1": sha256([dehaze(image(512, 512, 16), ck.net, ck.lut,
-                                           FlowConfig("rk4", 1, ck.flow.lam))]),
-        "dehaze_hd_tiled": sha256([dehaze(image(720, 1280, 20), ck.net, ck.lut,
-                                          ck.flow, TilePlan(256, 32))]),
+    sets = {
+        "dehaze_512_rk4x1": [dehaze(image(512, 512, 16), ck.net, ck.lut,
+                                    FlowConfig("rk4", 1, ck.flow.lam))],
+        "dehaze_hd_tiled": [dehaze(image(720, 1280, 20), ck.net, ck.lut,
+                                   ck.flow, TilePlan(256, 32))],
     }
     params = dict(ck.net.parameters())
     params["lut.grid"] = ck.lut.grid
@@ -238,8 +250,23 @@ def identity_hashes(seed):
         opt.zero_grad()
         loss.backward()
         opt.step()
-    out["adamw_5_steps"] = sha256([params[name].data for name in sorted(params)])
-    return out
+    sets["adamw_5_steps"] = [params[name].data for name in sorted(params)]
+    if save_to:
+        np.savez(save_to, **{f"{name}.{i}": a for name, arrays in sets.items()
+                             for i, a in enumerate(arrays)})
+    return {name: sha256(arrays) for name, arrays in sets.items()}
+
+
+def max_abs_diff(saved, name):
+    """Largest |parent - change| over one identity set's saved arrays; None
+    when the two sides' arrays differ in number or shape."""
+    with np.load(saved["parent"]) as p, np.load(saved["change"]) as c:
+        keys = sorted(k for k in p.files if k.rsplit(".", 1)[0] == name)
+        if keys != sorted(k for k in c.files if k.rsplit(".", 1)[0] == name) \
+                or any(p[k].shape != c[k].shape for k in keys):
+            return None
+        return max(float(np.max(np.abs(p[k].astype(np.float64) - c[k]), initial=0.0))
+                   for k in keys)
 
 
 def graph_peaks(seed):
@@ -266,11 +293,11 @@ def graph_peaks(seed):
     return peaks
 
 
-def in_checkout(args, side, function, seed):
-    """bench_pairs.<function>(seed), run by a child in the side's checkout."""
+def in_checkout(args, side, function, seed, *extra):
+    """bench_pairs.<function>(seed, *extra), run by a child in the side's checkout."""
     proc, _ = run([sys.executable, "-c", CHECKOUT_CHILD,
-                   os.path.dirname(os.path.abspath(__file__)), function, str(seed)],
-                  getattr(args, side))
+                   os.path.dirname(os.path.abspath(__file__)), function, str(seed),
+                   *extra], getattr(args, side))
     if proc.returncode != 0:
         raise RuntimeError(f"{function} in {getattr(args, side)} "
                            f"failed:\n{proc.stderr}")
@@ -280,11 +307,16 @@ def in_checkout(args, side, function, seed):
 
 def measure_identity(args):
     seed = args.seed_base + 700
-    hashes = {side: in_checkout(args, side, "identity_hashes", seed) for side in SIDES}
     entry = {"seed": seed}
-    for name in hashes["parent"]:
-        entry[name] = {side: hashes[side][name] for side in SIDES}
-        entry[name]["equal"] = hashes["parent"][name] == hashes["change"][name]
+    with tempfile.TemporaryDirectory() as tmp:
+        saved = {side: os.path.join(tmp, f"{side}.npz") for side in SIDES}
+        hashes = {side: in_checkout(args, side, "identity_hashes", seed, saved[side])
+                  for side in SIDES}
+        for name in hashes["parent"]:
+            entry[name] = {side: hashes[side][name] for side in SIDES}
+            entry[name]["equal"] = hashes["parent"][name] == hashes["change"][name]
+            if not entry[name]["equal"]:
+                entry[name]["max_abs_diff"] = max_abs_diff(saved, name)
     return entry
 
 

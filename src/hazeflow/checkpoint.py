@@ -56,6 +56,8 @@ def _payload_entries(net: PurifierNet, lut: Optional[Lut3D],
 def save_checkpoint(path: str, net: PurifierNet, lut: Optional[Lut3D],
                     flow_cfg: FlowConfig, optimizer: Optional[AdamW] = None,
                     metadata: Optional[dict] = None) -> None:
+    if lut is None and flow_cfg.lam > 0:
+        raise ConfigError(f"lambda {flow_cfg.lam} weights a LUT, and no LUT is given")
     entries = _payload_entries(net, lut, optimizer)
     header = {
         "format_version": FORMAT_VERSION,
@@ -173,6 +175,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         flow_cfg = FlowConfig(solver=_field(header, "flow.solver", str, path),
                               steps=_field(header, "flow.steps", int, path),
                               lam=_field(header, "flow.lam", float, path))
+        if lut is None and flow_cfg.lam > 0:
+            raise ConfigError(f"lambda {flow_cfg.lam} without a LUT")
     except (ShapeError, ConfigError) as exc:
         raise DataError(f"{path}: corrupt checkpoint header ({exc})") from exc
 

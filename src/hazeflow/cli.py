@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_flags(path: str) -> list[str]:
+def _read_config_flags(path: str) -> list[tuple[int, str, str]]:
+    """(line number, key, "--key=value") per setting line of a config file."""
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
     try:
@@ -296,7 +297,7 @@ def _read_config_flags(path: str) -> list[str]:
             raise DataError(f"{path}:{lineno}: expected key=value")
         if "config".startswith(key.replace("_", "-")):  # --config or a prefix of it
             raise DataError(f"{path}:{lineno}: a config file cannot set config")
-        flags.extend(["--" + key.replace("_", "-"), value])
+        flags.append((lineno, key, f"--{key.replace('_', '-')}={value}"))
     return flags
 
 
@@ -307,8 +308,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # later occurrences win in argparse, so the file's flags go
-            # after the subcommand and before argv's own
-            argv[1:1] = _read_config_flags(args.config)
+            # after the subcommand and before argv's own. argparse leaves a
+            # flag the subcommand lacks unparsed, or takes it for a positional
+            settings = _read_config_flags(args.config)
+            argv[1:1] = [flag for _, _, flag in settings]
+            known, extra = parser.parse_known_args(argv)
+            for lineno, key, flag in settings:
+                if flag in extra or flag in vars(known).values():
+                    raise DataError(f"{args.config}:{lineno}: "
+                                    f"{args.command} has no setting '{key}'")
             args = parser.parse_args(argv)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

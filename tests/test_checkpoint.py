@@ -71,6 +71,20 @@ def test_checkpoint_without_lut_or_optimizer(tmp_path):
                                   net.params["head.w"].data)
 
 
+def test_lambda_without_lut_is_refused(tmp_path):
+    # lambda weights the LUT branch: with no LUT it would be printed and never act
+    path = tmp_path / "lutless.hzf"
+    with pytest.raises(ConfigError, match="no LUT"):
+        save_checkpoint(str(path), PurifierNet(width=2), None, FlowConfig(lam=0.5))
+    assert not path.exists()
+    save_checkpoint(str(path), PurifierNet(width=2), None, FlowConfig(lam=0.0))
+    header, payload = _split(path)
+    header["flow"]["lam"] = 0.5
+    _join(path, header, payload)
+    with pytest.raises(DataError, match=r"corrupt checkpoint header \(lambda 0.5 without a LUT\)"):
+        load_checkpoint(str(path))
+
+
 def test_version_mismatch_rejected(tmp_path):
     net = PurifierNet(width=4)
     path = tmp_path / "model.hzf"
@@ -103,7 +117,7 @@ def test_optimizer_moments_float32_roundtrip(tmp_path):
     opt.step()
     net = PurifierNet(width=4)
     path = tmp_path / "opt.hzf"
-    save_checkpoint(str(path), net, None, FlowConfig(), optimizer=opt)
+    save_checkpoint(str(path), net, None, FlowConfig(lam=0.0), optimizer=opt)
     ckpt = load_checkpoint(str(path))
     np.testing.assert_array_equal(ckpt.opt_state.m["w"], opt.state.m["w"])
 
@@ -214,7 +228,7 @@ def test_fuzzed_header_values_and_truncated_payload(small_checkpoint, data):
 
 def test_forged_tensor_size_allocates_nothing(tmp_path):
     path = tmp_path / "forged.hzf"
-    save_checkpoint(str(path), PurifierNet(width=1), None, FlowConfig())
+    save_checkpoint(str(path), PurifierNet(width=1), None, FlowConfig(lam=0.0))
     header, payload = _split(path)
     header["tensors"][0]["shape"] = [2**20, 2**20, 4]  # 16 TiB of float32
     _join(path, header, payload)

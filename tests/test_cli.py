@@ -199,6 +199,11 @@ def _drop_lut_grid(header):
     header["tensors"] = [t for t in header["tensors"] if t["name"] != "lut.grid"]
 
 
+def _drop_lut(header):
+    header["lut"] = None
+    _drop_lut_grid(header)
+
+
 # header edits past the header's own checks; each gives one data error line
 _BAD_CHECKPOINT_FIELDS = {
     "negative_shape": lambda h: h["tensors"][0].update(shape=[-1]),
@@ -209,6 +214,8 @@ _BAD_CHECKPOINT_FIELDS = {
     "width_not_a_number": lambda h: h["net"].update(width="x"),
     "width_missing": lambda h: h["net"].pop("width"),
     "lut_without_grid": _drop_lut_grid,
+    # lambda 0.5 would be printed and no LUT would act
+    "lambda_without_lut": _drop_lut,
     "flow_solver_heun": lambda h: h["flow"].update(solver="heun"),
     "flow_steps_0": lambda h: h["flow"].update(steps=0),
     # the time range is fixed to [0, 1]; the header still carries it
@@ -267,6 +274,21 @@ def test_divergence_from_the_shell_prints_one_line(tmp_path, hazy_ppm):
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 3
     assert proc.stderr.startswith("divergence:") and proc.stderr.count("\n") == 1
+
+
+def test_float32_dehaze_never_loads_scipy(tmp_path, hazy_ppm, tiny_checkpoint):
+    # scipy's erfc serves only float64 GELU, the gradient checks' oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys; from hazeflow.cli import main; code = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "sys.exit(code)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
+         "--checkpoint", str(tiny_checkpoint), "--tile", "0"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert load_image(str(tmp_path / "out.ppm")).shape == (1, 3, 24, 24)
 
 
 _BAD_CONFIGS = {
@@ -516,6 +538,29 @@ class TestUsageAndConfig:
                    "--record-trajectory", str(tmp_path / "t3")])
         assert rc == 0
         assert len(os.listdir(tmp_path / "t3")) == 4
+
+    @pytest.mark.parametrize("line", ["width = 4", "lut_size = 3 5"])
+    def test_config_key_the_command_lacks_is_data_error(self, tmp_path, hazy_ppm,
+                                                        tiny_checkpoint, capsys, line):
+        # neither the key nor its value may take a positional's place
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(f"# model\n{line}\n")
+        out = tmp_path / "out.ppm"
+        rc = main(["dehaze", str(hazy_ppm), str(out), "--config", str(cfg),
+                   "--checkpoint", str(tiny_checkpoint)])
+        key = line.split(" = ")[0]
+        assert rc == 2
+        assert capsys.readouterr().err == f"data error: {cfg}:2: dehaze has no setting '{key}'\n"
+        assert not out.exists()
+
+    def test_config_key_prefix_is_resolved(self, tmp_path, hazy_ppm, tiny_checkpoint):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sol = euler\nste = 2\n")
+        rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "o.ppm"), "--config", str(cfg),
+                   "--checkpoint", str(tiny_checkpoint),
+                   "--record-trajectory", str(tmp_path / "t")])
+        assert rc == 0
+        assert len(os.listdir(tmp_path / "t")) == 3  # input + 2 steps
 
     @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
     def test_every_config_spelling_is_read(self, tmp_path, spelling):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -18,3 +20,22 @@ def test_toy_experiment_writes_its_outputs(tmp_path):
     expected = {"toy.hzf", "loss_history.txt", "target.png",
                 "step_000.png", "step_001.png", "step_002.png"}  # 2 solver steps
     assert expected <= set(p.name for p in out_dir.iterdir())
+
+
+def test_bench_pairs_measures_an_output_change(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    a.write_bytes(b"\x00\x01\x02\x03")
+    b.write_bytes(b"\x00\x09\x02\x07\x05")
+    assert bench_pairs.differing_bytes(a, b) == 3  # two bytes and the extra one
+    assert bench_pairs.differing_bytes(a, a) == 0
+
+    saved = {"parent": str(tmp_path / "p.npz"), "change": str(tmp_path / "c.npz")}
+    np.savez(saved["parent"], **{"s.0": np.zeros(3, np.float32), "s.1": np.ones(2),
+                                 "t.0": np.zeros(2)})
+    np.savez(saved["change"], **{"s.0": np.array([0, -0.25, 0.5], np.float32),
+                                 "s.1": np.ones(2), "t.0": np.zeros(3)})
+    assert bench_pairs.max_abs_diff(saved, "s") == 0.5
+    assert bench_pairs.max_abs_diff(saved, "t") is None  # shapes differ

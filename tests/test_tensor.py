@@ -2,6 +2,7 @@
 
 import operator
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -82,6 +83,64 @@ class TestGelu:
     def test_far_negative_tail(self):
         out = gelu(Tensor(np.full((1,), -10.0, dtype=np.float64)))
         assert -1e-3 < float(out.data[0]) < 0.0
+
+    @staticmethod
+    def _erfc_gelu(d):
+        # the float64 path's expression, and the float32 path's before the
+        # erfcc polynomial: x * erfc(-x / sqrt 2) / 2 in d's dtype
+        from scipy.special import erfc
+        cdf = np.multiply(d, -float(1.0 / np.sqrt(2.0)))
+        erfc(cdf, out=cdf)
+        cdf *= 0.5
+        return d * cdf
+
+    def test_float32_within_4e7_of_float64(self, rng):
+        # 2^22 + 7 sweep points: the last block is a partial one
+        x = np.concatenate([np.linspace(-20, 20, (1 << 22) + 7),
+                            rng.standard_normal(1 << 20)]).astype(np.float32)
+        assert x.size % (tensor_mod._STRIP_ELEMS // 4)
+        want = self._erfc_gelu(x.astype(np.float64))
+        out = gelu(Tensor(x)).data
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out - want) <= 4e-7 * np.abs(x.astype(np.float64)))
+
+    def test_float32_recorded_and_unrecorded_agree(self, rng):
+        # the recorded path keeps Phi for the backward: g * (Phi + x * pdf)
+        x = Tensor(rng.standard_normal((3, 5, 7, 11)).astype(np.float32) * 3,
+                   requires_grad=True)
+        with no_grad():
+            plain = gelu(x).data
+        out = gelu(x)
+        np.testing.assert_array_equal(out.data, plain)
+        out.backward(np.ones_like(out.data))
+        d = x.data.astype(np.float64)
+        cdf = self._erfc_gelu(d) / np.where(d == 0, 1, d)
+        want = cdf + d * np.exp(-0.5 * d * d) / np.sqrt(2 * np.pi)
+        np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values_are_unchanged(self, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        with np.errstate(invalid="ignore"):  # -inf * 0
+            out, want = gelu(Tensor(x)).data, self._erfc_gelu(x)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+
+    def test_float64_is_scipy_erfc_bit_for_bit(self, rng):
+        x = np.concatenate([rng.standard_normal(1 << 16) * 4,
+                            np.linspace(-40, 40, 1001), [1e300, -1e300]])
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, self._erfc_gelu(x))
+
+    def test_float32_finite_range_warns_nothing(self):
+        mags = np.geomspace(1e-45, np.finfo(np.float32).max, 4001, dtype=np.float64)
+        x = np.concatenate([mags, -mags, [np.finfo(np.float32).max,
+                                          -np.finfo(np.float32).max]]).astype(np.float32)
+        assert np.all(np.isfinite(x))
+        with np.errstate(over="warn", invalid="warn", divide="warn"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gelu(Tensor(x)).data
+        assert np.all(np.isfinite(out))
 
 
 class TestMaxpool:
