@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import SOLVERS, FlowConfig
-from .lut import Lut3D, fixed_contrast_saturation_lut, identity_lut, lut_from_size
+from .lut import Lut3D, fixed_contrast_saturation_lut, identity_lut
 from .metrics import SSIM_WINDOW, evaluate_pairs
 from .tiling import dehaze
 from .training import TrainConfig, make_toy_dataset, train_loop
@@ -44,7 +44,7 @@ class AblationConfig:
     def __post_init__(self):
         if self.size < SSIM_WINDOW:  # every row is scored by SSIM
             raise ConfigError(f"size {self.size} is below the {SSIM_WINDOW}-pixel SSIM window")
-        lut_from_size(self.lut_size)  # the 2-bin rule, before any row trains
+        identity_lut(self.lut_size)  # the 2-bin rule, before any row trains
 
 
 @dataclass

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .flow import FIELD_EVALS, FlowConfig
-from .lut import lut_from_size
+from .lut import Lut3D
 from .purifier import N_STAGES, PurifierNet, param_shapes
 from .tiling import TilePlan, dehaze, tile_spans
 
@@ -86,15 +86,12 @@ class BenchReport:
         ])
 
 
-def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
-              lut_size: int = 33, plan: Optional[TilePlan] = None,
-              seed: int = 0) -> BenchReport:
-    """Time one full dehazing pass on a synthetic image of the given size."""
+def run_bench(height: int, width: int, net: PurifierNet, lut: Optional[Lut3D],
+              cfg: FlowConfig, plan: Optional[TilePlan] = None) -> BenchReport:
+    """Time one full dehazing pass of the given model on a synthetic image."""
     if height < 1 or width < 1:
         raise ConfigError(f"bench image size {width}x{height} must be at least 1x1")
-    net = PurifierNet(width=net_width, seed=seed)
-    lut = lut_from_size(lut_size)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)  # the same image on every run
     image = rng.uniform(0.2, 0.9, size=(1, 3, height, width)).astype(np.float32)
 
     t0 = time.perf_counter()
@@ -106,11 +103,11 @@ def run_bench(height: int, width: int, cfg: FlowConfig, net_width: int = 16,
     if plan is not None:
         spans_y, spans_x = tile_spans(height, plan), tile_spans(width, plan)
 
-    per_eval = sum(sum(purifier_macs(net_width, y1 - y0, x1 - x0).values())
+    per_eval = sum(sum(purifier_macs(net.width, y1 - y0, x1 - x0).values())
                    for y0, y1 in spans_y for x0, x1 in spans_x)
     evals = FIELD_EVALS[cfg.solver] * cfg.steps
     return BenchReport(
-        height=height, width=width, net_width=net_width, solver=cfg.solver,
+        height=height, width=width, net_width=net.width, solver=cfg.solver,
         steps=cfg.steps, field_evals=evals, macs_per_eval=per_eval,
         total_macs=per_eval * evals, total_seconds=total,
         seconds_per_step=total / cfg.steps,

@@ -125,6 +125,8 @@ def _read_tensors(fh, entries, path: str) -> dict:
         left -= size
         tensors[name] = np.frombuffer(
             fh.read(size), dtype="<f4").astype(np.float32).reshape(shape)
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: non-finite value in tensor {name}")
     return tensors
 
 
@@ -165,11 +167,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     try:
         lut = None
         if header["lut"] is not None:
-            c_max = _field(header, "lut.c_max", float, path)
             trainable = _field(header, "lut.trainable", bool, path)
-            if "lut.grid" not in tensors or c_max <= 0:
+            # every LUT spans [0, 1]; the header still carries its range
+            if "lut.grid" not in tensors or _field(header, "lut.c_max", float, path) != 1.0:
                 raise DataError(f"{path}: corrupt checkpoint header (lut)")
-            lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable), c_max=c_max)
+            lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable))
         if [_field(header, f"flow.{k}", float, path) for k in ("t0", "t1")] != [0.0, 1.0]:
             raise DataError(f"{path}: corrupt checkpoint header (time range is not [0, 1])")
         flow_cfg = FlowConfig(solver=_field(header, "flow.solver", str, path),

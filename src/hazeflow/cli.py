@@ -21,7 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, HazeflowError
 from .flow import SOLVERS, FlowConfig
 from .imgio import image_writer, load_image, save_image
-from .lut import lut_from_size
+from .lut import identity_lut
 from .metrics import evaluate_pairs
 from .purifier import PurifierNet
 from .tiling import TilePlan, dehaze
@@ -74,7 +74,7 @@ def cmd_train(args) -> int:
         raise ConfigError("train needs --hazy-dir and --clean-dir together")
     _check_out(args.out, "--out")
     net = PurifierNet(width=args.width, seed=cfg.seed)
-    lut = lut_from_size(args.lut_size) if flow_cfg.lam > 0 else None
+    lut = identity_lut(args.lut_size) if flow_cfg.lam > 0 else None
     pairs, source = _training_pairs(args, cfg.seed)
     with open(args.loss_log, "w", encoding="ascii") if args.loss_log \
             else contextlib.nullcontext() as log:
@@ -169,11 +169,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    flow_cfg = _settings(FlowConfig, args)
+    net, lut, flow_cfg = _load_model(args)
     plan = TilePlan(tile=args.tile, overlap=args.overlap) if args.tile else None
-    report = run_bench(args.height, args.width_px, flow_cfg,
-                       net_width=args.net_width, lut_size=args.lut_size,
-                       plan=plan, seed=args.seed)
+    report = run_bench(args.height, args.width_px, net, lut, flow_cfg, plan)
     print(report.format())
     print(report.key_value_lines())
     return 0
@@ -256,13 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("bench", parents=[common], help="timing / memory / MAC report")
+    p.add_argument("--checkpoint", default=None, help="required; a config may give it")
     p.add_argument("--height", type=int, default=2160)
     p.add_argument("--width", dest="width_px", type=int, default=3840)
-    p.add_argument("--net-width", type=int, default=16)
-    p.add_argument("--lut-size", type=int, default=33)
     p.add_argument("--tile", type=int, default=TilePlan.tile)
     p.add_argument("--overlap", type=int, default=TilePlan.overlap)
-    p.add_argument("--seed", type=int, default=0)
     _add_flow_flags(p)
     p.set_defaults(func=cmd_bench)
 

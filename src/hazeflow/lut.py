@@ -47,17 +47,10 @@ class Lut3D:
 def identity_lut(m: int = 33, dtype=np.float32, requires_grad: bool = True) -> Lut3D:
     """Lattice over [0, 1] whose vertex (i, j, k) stores (i, j, k) / (M - 1)."""
     if m < 2:
-        raise ShapeError("LUT needs at least 2 bins per channel")
+        raise ConfigError("a LUT needs at least 2 bins per channel")
     axis = np.arange(m, dtype=dtype) * (1.0 / (m - 1))
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     return Lut3D(Tensor(grid.astype(dtype), requires_grad=requires_grad))
-
-
-def lut_from_size(m: int) -> Lut3D:
-    """Identity LUT for a user-chosen bin count; ConfigError below 2 bins."""
-    if m < 2:
-        raise ConfigError("a LUT needs at least 2 bins per channel")
-    return identity_lut(m)
 
 
 def fixed_contrast_saturation_lut(m: int = 33, alpha: float = 1.2,

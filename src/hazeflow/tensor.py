@@ -288,7 +288,8 @@ def gelu(x: Tensor) -> Tensor:
         out = d * cdf
 
     def _bwd(g, n=x._node):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
+        with np.errstate(over="ignore"):  # d*d is inf past |x| ~ 1.8e19 in float32: pdf 0
+            pdf = _INV_SQRT_2PI * np.exp(-0.5 * d * d)
         n._accumulate(g * (cdf + d * pdf.astype(d.dtype, copy=False)))
     return Tensor._result(out, (x,), "gelu", _bwd)
 

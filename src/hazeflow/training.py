@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 from .flow import FlowConfig, integrate
-from .lut import Lut3D, lut_from_size
+from .lut import Lut3D, identity_lut
 from .purifier import PurifierNet
 from .tensor import Tensor, no_grad
 
@@ -270,7 +270,7 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
     if net is None:
         net = PurifierNet(width=width, seed=cfg.seed)
     if lut is None and flow_cfg.lam > 0:
-        lut = lut_from_size(lut_size)
+        lut = identity_lut(lut_size)
 
     params = dict(net.parameters(), **({} if lut is None else {"lut.grid": lut.grid}))
     trainable = {name: p for name, p in params.items() if p.requires_grad}

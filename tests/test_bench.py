@@ -4,7 +4,13 @@ import pytest
 
 from hazeflow.bench import conv_macs, purifier_macs, run_bench
 from hazeflow.flow import FIELD_EVALS, FlowConfig
+from hazeflow.lut import identity_lut
+from hazeflow.purifier import PurifierNet
 from hazeflow.tiling import TilePlan, tile_spans
+
+
+def model(width):
+    return PurifierNet(width=width), identity_lut(width + 1)
 
 
 def test_single_conv_mac_formula():
@@ -18,8 +24,8 @@ def test_rk4_doubles_evals_with_steps():
     evals4 = FIELD_EVALS[cfg4.solver] * cfg4.steps
     evals8 = FIELD_EVALS[cfg8.solver] * cfg8.steps
     assert (evals4, evals8) == (16, 32)
-    report4 = run_bench(16, 16, cfg4, net_width=2, lut_size=3)
-    report8 = run_bench(16, 16, cfg8, net_width=2, lut_size=3)
+    report4 = run_bench(16, 16, *model(2), cfg4)
+    report8 = run_bench(16, 16, *model(2), cfg8)
     assert report8.total_macs == 2 * report4.total_macs
 
 
@@ -45,7 +51,7 @@ def test_odd_sizes_round_up_before_pooling():
 
 def test_run_bench_smoke():
     cfg = FlowConfig(solver="euler", steps=2)
-    report = run_bench(48, 64, cfg, net_width=4, lut_size=5)
+    report = run_bench(48, 64, *model(4), cfg)
     assert report.total_seconds > 0
     assert report.seconds_per_step == pytest.approx(report.total_seconds / 2)
     assert report.field_evals == 2
@@ -57,18 +63,15 @@ def test_run_bench_smoke():
 
 def test_run_bench_tiled_smoke():
     cfg = FlowConfig(solver="euler", steps=1)
-    report = run_bench(70, 90, cfg, net_width=4, lut_size=5,
-                       plan=TilePlan(tile=48, overlap=8))
+    report = run_bench(70, 90, *model(4), cfg, TilePlan(tile=48, overlap=8))
     assert report.tiled
     assert "total_macs" in report.key_value_lines()
 
 
 def test_tiled_only_when_the_plan_splits_the_image():
     cfg = FlowConfig(solver="euler", steps=1)
-    fits = run_bench(40, 48, cfg, net_width=4, lut_size=5,
-                     plan=TilePlan(tile=48, overlap=8))
-    splits = run_bench(40, 56, cfg, net_width=4, lut_size=5,
-                       plan=TilePlan(tile=48, overlap=8))
+    fits = run_bench(40, 48, *model(4), cfg, TilePlan(tile=48, overlap=8))
+    splits = run_bench(40, 56, *model(4), cfg, TilePlan(tile=48, overlap=8))
     assert not fits.tiled
     assert fits.macs_per_eval == sum(purifier_macs(4, 40, 48).values())
     assert splits.tiled
@@ -77,7 +80,7 @@ def test_tiled_only_when_the_plan_splits_the_image():
 def test_tiled_macs_count_every_tile_with_overlap():
     cfg = FlowConfig(solver="euler", steps=2)
     plan = TilePlan(tile=48, overlap=8)
-    report = run_bench(70, 90, cfg, net_width=4, lut_size=5, plan=plan)
+    report = run_bench(70, 90, *model(4), cfg, plan)
     # rows (0, 48), (22, 70) and columns (0, 48), (40, 88), (42, 90):
     # six full 48x48 tiles
     assert tile_spans(70, plan) == [(0, 48), (22, 70)]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from hazeflow import cli
 from hazeflow.ablation import AblationConfig
+from hazeflow.bench import purifier_macs
 from hazeflow.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from hazeflow.cli import main
 from hazeflow.flow import SOLVERS, FlowConfig
@@ -32,6 +33,15 @@ def hazy_ppm(tmp_path, rng):
     img = rng.uniform(0.3, 0.9, (1, 3, 24, 24)).astype(np.float32)
     path = tmp_path / "hazy.ppm"
     save_image(img, str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def bench_checkpoint(tmp_path_factory):
+    # untrained and module-scoped: Hypothesis rejects function-scoped fixtures
+    path = tmp_path_factory.mktemp("bench") / "bench.hzf"
+    save_checkpoint(str(path), PurifierNet(width=2), identity_lut(3),
+                    FlowConfig(solver="euler", steps=1))
     return path
 
 
@@ -221,6 +231,8 @@ _BAD_CHECKPOINT_FIELDS = {
     # the time range is fixed to [0, 1]; the header still carries it
     "flow_t1_2": lambda h: h["flow"].update(t1=2.0),
     "flow_t0_missing": lambda h: h["flow"].pop("t0"),
+    # every LUT spans [0, 1]
+    "lut_c_max_2": lambda h: h["lut"].update(c_max=2.0),
     # would ask the reader for 4 TiB before the size check
     "forged_size": lambda h: h["tensors"][0].update(shape=[2**40]),
 }
@@ -239,6 +251,27 @@ def test_bad_checkpoint_field_is_data_error(tmp_path, hazy_ppm, capsys, case):
     assert err.startswith("data error:") and err.count("\n") == 1
     expected = "truncated" if case == "forged_size" else "corrupt checkpoint header"
     assert expected in err
+
+
+@pytest.mark.parametrize("tensor, value", [("head.w", np.nan), ("enc1.b", -np.inf),
+                                           ("lut", np.inf)])
+def test_non_finite_checkpoint_value_is_data_error(tmp_path, hazy_ppm, capsys,
+                                                   tensor, value):
+    # a NaN kernel diverged in the first solver step, and an inf in a LUT
+    # vertex no pixel reaches dehazed with exit 0
+    net, lut = PurifierNet(width=2), identity_lut(5)
+    if tensor == "lut":
+        lut.grid.data[0, 0, 0, 0] = value
+    else:
+        net.params[tensor].data.flat[0] = value
+    ckpt = tmp_path / "non_finite.hzf"
+    save_checkpoint(str(ckpt), net, lut, FlowConfig(solver="euler", steps=1))
+    rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
+               "--checkpoint", str(ckpt)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    name = "lut.grid" if tensor == "lut" else f"net.{tensor}"
+    assert err == f"data error: {ckpt}: non-finite value in tensor {name}\n"
 
 
 def _exploding_checkpoint(tmp_path):
@@ -297,7 +330,6 @@ _BAD_CONFIGS = {
     "dehaze_nan_lambda": ["dehaze", "--lambda", "nan"],
     "dehaze_inf_lambda": ["dehaze", "--lambda", "inf"],
     "dehaze_overlap_equals_tile": ["dehaze", "--tile", "64", "--overlap", "64"],
-    "bench_lut_size_1": ["bench", "--lut-size", "1"],
     "train_negative_lr": ["train", "--lr", "-1"],
     "train_factor_2": ["train", "--factor", "2"],
     "train_no_synth_pairs": ["train", "--synth-pairs", "0"],
@@ -305,7 +337,6 @@ _BAD_CONFIGS = {
     "train_synth_size_0": ["train", "--synth-size", "0"],
     "train_width_0": ["train", "--width", "0"],
     "train_lut_size_1": ["train", "--lut-size", "1"],
-    "bench_negative_seed": ["bench", "--seed", "-1"],
     "train_negative_seed": ["train", "--seed", "-1"],
     "bench_height_0": ["bench", "--height", "0"],
     "bench_width_negative": ["bench", "--width", "-1"],
@@ -324,8 +355,9 @@ _BAD_CONFIGS = {
     "train_clean_dir_alone": ["train", "--clean-dir", "absent"],
     "eval_pred_and_hazy_dirs": ["eval", "--pred-dir", "absent", "--hazy-dir", "absent"],
     "eval_no_dirs": ["eval"],
-    # dehaze and eval take their model from a checkpoint only
+    # dehaze, eval and bench take their model from a checkpoint only
     "dehaze_no_checkpoint": ["dehaze"],
+    "bench_no_checkpoint": ["bench"],
     "eval_hazy_dir_no_checkpoint": ["eval", "--hazy-dir", "absent"],
 }
 
@@ -333,7 +365,7 @@ _BAD_CONFIGS = {
 @pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
 def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     cmd, *flags = _BAD_CONFIGS[case]
-    # an untrained model, so each dehaze and eval row fails on its own check
+    # an untrained model, so each dehaze, eval and bench row fails on its own check
     ckpt = str(tmp_path / "untrained.hzf")
     save_checkpoint(ckpt, PurifierNet(width=2), identity_lut(3), FlowConfig())
     paths = {"dehaze": [str(hazy_ppm), str(tmp_path / "out.ppm")],
@@ -343,7 +375,7 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
              "ablate": ["solver", "--epochs", "1", "--pairs", "1"],
              "eval": ["--clean-dir", str(tmp_path)]}[cmd]
     model = {"dehaze": ["--checkpoint", ckpt], "eval": ["--checkpoint", ckpt],
-             "bench": ["--net-width", "4", "--lut-size", "5"],
+             "bench": ["--checkpoint", ckpt],
              "train": ["--width", "4", "--lut-size", "5"],
              "ablate": ["--width", "4", "--lut-size", "5"]}[cmd]
     if case.endswith("_no_checkpoint"):
@@ -468,11 +500,29 @@ class TestEval:
 
 
 class TestBenchCommand:
-    def test_small_bench(self):
+    def test_small_bench(self, bench_checkpoint):
         rc = main(["bench", "--height", "48", "--width", "64",
-                   "--net-width", "4", "--lut-size", "5",
+                   "--checkpoint", str(bench_checkpoint),
                    "--solver", "euler", "--steps", "1", "--tile", "0"])
         assert rc == 0
+
+    def test_bench_times_the_checkpoint_model(self, tmp_path, capsys):
+        ckpt = tmp_path / "w4.hzf"
+        save_checkpoint(str(ckpt), PurifierNet(width=4), identity_lut(3),
+                        FlowConfig(solver="midpoint", steps=3))
+        argv = ["bench", "--height", "24", "--width", "40", "--tile", "0",
+                "--checkpoint", str(ckpt)]
+        macs = sum(purifier_macs(4, 24, 40).values())
+        for flags, evals in (([], 6), (["--solver", "euler"], 3), (["--steps", "1"], 2)):
+            capsys.readouterr()
+            assert main(argv + flags) == 0
+            out = capsys.readouterr().out
+            assert "\nnetwork width       4\n" in out
+            assert f"\nfield_evals={evals}\nmacs_per_eval={macs}\n" in out
+
+    def test_without_checkpoint_is_usage_error(self, capsys):
+        assert main(["bench", "--height", "8", "--width", "8", "--tile", "0"]) == 1
+        assert capsys.readouterr().err == "error: bench needs --checkpoint\n"
 
 
 class TestAblateCommand:
@@ -563,11 +613,11 @@ class TestUsageAndConfig:
         assert len(os.listdir(tmp_path / "t")) == 3  # input + 2 steps
 
     @pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
-    def test_every_config_spelling_is_read(self, tmp_path, spelling):
+    def test_every_config_spelling_is_read(self, tmp_path, bench_checkpoint, spelling):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("steps = 0\n")
-        rc = main(["bench", "--height", "8", "--width", "8", "--net-width", "2",
-                   "--lut-size", "3", "--tile", "0",
+        rc = main(["bench", "--height", "8", "--width", "8", "--tile", "0",
+                   "--checkpoint", str(bench_checkpoint),
                    *(arg.format(cfg) for arg in spelling)])
         assert rc == 1  # the config's steps=0 was read and rejected
 
@@ -597,6 +647,13 @@ class TestUsageAndConfig:
         assert main(["dehaze", str(hazy_ppm), str(tmp_path / "b.ppm"),
                      "--checkpoint", str(tiny_checkpoint)]) == 0
         assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+    def test_config_supplies_checkpoint_to_bench(self, tmp_path, bench_checkpoint, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"checkpoint = {bench_checkpoint}\n")
+        assert main(["bench", "--height", "8", "--width", "8", "--tile", "0",
+                     "--config", str(cfg)]) == 0
+        assert "\nfield_evals=1\n" in capsys.readouterr().out  # the checkpoint's Euler x1
 
     def test_eval_without_clean_dir_is_usage_error(self, tmp_path, capsys):
         rc = main(["eval", "--pred-dir", str(tmp_path)])
@@ -648,11 +705,12 @@ class TestUsageAndConfig:
         ("config = absent.cfg", "a config file cannot set config"),
         ("conf = absent.cfg", "a config file cannot set config"),
         ("= 5", "expected key=value")])
-    def test_bad_config_line_is_data_error(self, tmp_path, capsys, line, message):
+    def test_bad_config_line_is_data_error(self, tmp_path, bench_checkpoint, capsys,
+                                           line, message):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"steps = 1\n{line}\n")
         rc = main(["bench", "--config", str(cfg), "--height", "8", "--width", "8",
-                   "--net-width", "2", "--lut-size", "3", "--tile", "0"])
+                   "--checkpoint", str(bench_checkpoint), "--tile", "0"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err == f"data error: {cfg}:2: {message}\n"
@@ -768,8 +826,8 @@ _CLI_SURFACE = {
               "--steps --solver --lambda",
     "eval": "--config --checkpoint --hazy-dir --pred-dir --clean-dir --out --steps "
             "--solver --lambda",
-    "bench": "--config --height --width --net-width --lut-size --tile --overlap --seed "
-             "--steps --solver --lambda",
+    "bench": "--config --checkpoint --height --width --tile --overlap --steps --solver "
+             "--lambda",
     "ablate": "{lut,lambda,solver,all} --config --out-dir --pairs --seed --size --epochs "
               "--width --lut-size --steps",
 }
@@ -787,8 +845,8 @@ def test_cli_surface(capsys, sub):
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
 _CONFIG_LINE = st.one_of(_TEXT, st.builds(
     "{}={}".format,
-    st.sampled_from(["steps", "solver", "lambda", "height", "width", "seed",
-                     "tile", "overlap", "lut_size", "net_width", "config"]) | _TEXT,
+    st.sampled_from(["steps", "solver", "lambda", "height", "width", "checkpoint",
+                     "tile", "overlap", "seed", "lut_size", "config"]) | _TEXT,
     _TEXT | st.integers(-3, 3).map(str) | st.floats().map(str)))
 
 
@@ -801,12 +859,12 @@ def config_fuzz_path(tmp_path_factory):
 @given(st.one_of(st.binary(max_size=64),
                  st.lists(_CONFIG_LINE, max_size=6).map(
                      lambda lines: "\n".join(lines).encode("utf-8"))))
-def test_arbitrary_config_file_exits_0_1_or_2(config_fuzz_path, content):
+def test_arbitrary_config_file_exits_0_1_or_2(config_fuzz_path, bench_checkpoint, content):
     # bench writes no files; the explicit flags, which win over the config,
     # keep every run tiny
     config_fuzz_path.write_bytes(content)
     rc = main(["bench", "--config", str(config_fuzz_path), "--height", "8",
-               "--width", "8", "--net-width", "2", "--lut-size", "3",
+               "--width", "8", "--checkpoint", str(bench_checkpoint),
                "--tile", "0", "--steps", "1", "--solver", "euler",
                "--lambda", "0.5"])
     assert rc in (0, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazeflow.errors import LatticeRangeError, ShapeError
+from hazeflow.errors import ConfigError, LatticeRangeError
 from hazeflow.gradcheck import check_gradients
 from hazeflow.lut import (Lut3D, export_cube, fixed_contrast_saturation_lut,
                           identity_lut, lattice_coords, trilinear_apply)
@@ -55,7 +55,7 @@ class TestIdentityLut:
         assert lut.grid.data[..., 0].size == 35937
 
     def test_m_below_2_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             identity_lut(1)
 
     def test_identity_property(self, rng):

@@ -142,6 +142,19 @@ class TestGelu:
             out = gelu(Tensor(x)).data
         assert np.all(np.isfinite(out))
 
+    def test_float32_backward_past_the_square_overflow_warns_nothing(self):
+        # 3e19 squared overflows float32, so the pdf's exponent is -inf
+        grads = []
+        for dtype in (np.float32, np.float64):
+            x = Tensor(np.array([3e19, -1.0], dtype=dtype), requires_grad=True)
+            with np.errstate(over="warn", invalid="warn", divide="warn"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gelu(x).backward(np.ones(2, dtype=dtype))
+            grads.append(x.grad)
+        assert grads[0][0] == grads[1][0] == 1.0
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-6)
+
 
 class TestMaxpool:
     def test_constant(self):
