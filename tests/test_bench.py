@@ -10,7 +10,7 @@ from hazeflow.tiling import TilePlan, tile_spans
 
 
 def model(width):
-    return PurifierNet(width=width), identity_lut(width + 1)
+    return PurifierNet(width=width), identity_lut(3)
 
 
 def test_single_conv_mac_formula():

@@ -384,6 +384,8 @@ def test_bad_config_value_is_usage_error(tmp_path, hazy_ppm, capsys, case):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
+    if not model:
+        assert err == f"error: {cmd} needs --checkpoint\n"
 
 
 def test_dehaze_without_checkpoint_is_usage_error(tmp_path, hazy_ppm, capsys):
@@ -519,10 +521,6 @@ class TestBenchCommand:
             out = capsys.readouterr().out
             assert "\nnetwork width       4\n" in out
             assert f"\nfield_evals={evals}\nmacs_per_eval={macs}\n" in out
-
-    def test_without_checkpoint_is_usage_error(self, capsys):
-        assert main(["bench", "--height", "8", "--width", "8", "--tile", "0"]) == 1
-        assert capsys.readouterr().err == "error: bench needs --checkpoint\n"
 
 
 class TestAblateCommand:
