@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError
 from .flow import FIELD_EVALS, FlowConfig
 from .lut import Lut3D
-from .purifier import N_STAGES, PurifierNet, param_shapes
+from .purifier import KERNEL, PurifierNet, conv_plan
 from .tiling import TilePlan, dehaze, tile_spans
 
 
@@ -22,21 +22,11 @@ def conv_macs(c_in: int, c_out: int, kernel: int, h_out: int, w_out: int) -> int
 
 
 def purifier_macs(width: int, height: int, w: int) -> dict[str, int]:
-    """Per-layer conv MACs of one purifier forward pass at the given size.
-
-    Channel counts and kernel sizes are read from the purifier's layer plan.
-    """
-    # sizes[s]: feature map after s max-pools, odd sizes rounded up
-    sizes = [(height, w)]
-    for _ in range(N_STAGES):
-        sizes.append(((sizes[-1][0] + 1) // 2, (sizes[-1][1] + 1) // 2))
-    at = {"attn": sizes[N_STAGES], "head": sizes[0]}
-    for i in range(1, N_STAGES + 1):
-        at[f"enc{i}"], at[f"dec{i}"] = sizes[i], sizes[N_STAGES - i]
-    kernels = {name[:-2]: shape for name, shape in param_shapes(width).items()
-               if name.endswith(".w")}
-    return {name: conv_macs(c_in, c_out, k, *at[name])
-            for name, (c_out, c_in, k, _) in kernels.items()}
+    """Per-layer conv MACs of one purifier forward pass at the given size,
+    from the purifier's layer plan; each max-pool rounds odd sizes up."""
+    return {name: conv_macs(c_in, c_out, KERNEL, -(-height // 2 ** pools),
+                            -(-w // 2 ** pools))
+            for name, c_in, c_out, pools in conv_plan(width)}
 
 
 def peak_rss_bytes() -> int:

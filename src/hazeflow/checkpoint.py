@@ -59,6 +59,9 @@ def save_checkpoint(path: str, net: PurifierNet, lut: Optional[Lut3D],
     if lut is None and flow_cfg.lam > 0:
         raise ConfigError(f"lambda {flow_cfg.lam} weights a LUT, and no LUT is given")
     entries = _payload_entries(net, lut, optimizer)
+    for name, arr in entries:  # the loader rejects a file that holds one
+        if not np.isfinite(arr).all():
+            raise DataError(f"non-finite value in tensor {name}")
     header = {
         "format_version": FORMAT_VERSION,
         "flow": {"solver": flow_cfg.solver, "steps": flow_cfg.steps,
@@ -168,10 +171,10 @@ def load_checkpoint(path: str) -> Checkpoint:
         lut = None
         if header["lut"] is not None:
             trainable = _field(header, "lut.trainable", bool, path)
-            # every LUT spans [0, 1]; the header still carries its range
-            if "lut.grid" not in tensors or _field(header, "lut.c_max", float, path) != 1.0:
+            if "lut.grid" not in tensors:
                 raise DataError(f"{path}: corrupt checkpoint header (lut)")
-            lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable))
+            lut = Lut3D(Tensor(tensors["lut.grid"], requires_grad=trainable),
+                        _field(header, "lut.c_max", float, path))
         if [_field(header, f"flow.{k}", float, path) for k in ("t0", "t1")] != [0.0, 1.0]:
             raise DataError(f"{path}: corrupt checkpoint header (time range is not [0, 1])")
         flow_cfg = FlowConfig(solver=_field(header, "flow.solver", str, path),

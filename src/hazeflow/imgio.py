@@ -1,11 +1,11 @@
 """Image file I/O.
 
-Binary PPM (P6), 8- and 16-bit, and PNG are read and written natively. The
-PNG writer emits 8-bit RGB; the reader takes 8-bit non-interlaced grey, grey
-with alpha, RGB and RGBA (grey is broadcast to RGB, alpha is dropped). Other
-PNG variants and other formats (JPEG etc.) go through Pillow when it is
-installed. Pixels are normalized to [0, 1] float32 on load, shaped
-(1, 3, H, W).
+Binary PPM (P6) and PNG are read and written natively, and written as 8-bit
+RGB only. The PPM reader takes 8- and 16-bit files, the PNG reader 8-bit
+non-interlaced grey, grey with alpha, RGB and RGBA (grey is broadcast to RGB,
+alpha is dropped). Other PNG variants and other formats (JPEG etc.) go through
+Pillow when it is installed. Pixels are normalized to [0, 1] float32 on load,
+shaped (1, 3, H, W).
 """
 
 from __future__ import annotations
@@ -262,10 +262,9 @@ def _to_hwc(image) -> np.ndarray:
 
 
 def _write_ppm(path: str, samples: np.ndarray) -> None:
-    """Write (H, W, 3) uint8 or big-endian uint16 samples as a binary PPM."""
-    maxval = np.iinfo(samples.dtype).max
+    """Write (H, W, 3) uint8 samples as a binary PPM."""
     with open(path, "wb") as fh:
-        fh.write(f"P6\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P6\n{samples.shape[1]} {samples.shape[0]}\n255\n".encode("ascii"))
         fh.write(samples.data)
 
 
@@ -281,18 +280,14 @@ def image_writer(path: str):
     return lambda out, samples: image_module.fromarray(samples).save(out)
 
 
-def save_image(image, path: str, bits: int = 8) -> None:
-    """Save a [0, 1] image. PPM supports 8 or 16 bits; PNG and friends use 8."""
+def save_image(image, path: str) -> None:
+    """Save a [0, 1] image at 8 bits per sample."""
     write = image_writer(path)
-    ppm = write is _write_ppm
-    if ppm and bits not in (8, 16):
-        raise DataError("PPM bit depth must be 8 or 16")
-    maxval, dtype = (65535, ">u2") if ppm and bits == 16 else (255, np.uint8)
     hwc = _to_hwc(image)
-    quantized = np.empty(hwc.shape, dtype=dtype)
+    quantized = np.empty(hwc.shape, dtype=np.uint8)
     step = max(1, _STRIP_ELEMS // max(1, 3 * hwc.shape[1]))  # rows per float band
     for y in range(0, len(hwc), step):
         band = np.clip(hwc[y:y + step], 0.0, 1.0).astype(np.float64)
-        band *= maxval
+        band *= 255
         quantized[y:y + step] = np.rint(band, out=band)
     write(path, quantized)

@@ -26,17 +26,16 @@ _LUMA = (0.299, 0.587, 0.114)
 class Lut3D:
     """MxMxM lattice of output RGB values, learnable via its grid tensor."""
 
-    def __init__(self, grid, c_max: float = 1.0):
-        data = grid.data if isinstance(grid, Tensor) else np.asarray(grid)
+    def __init__(self, grid: Tensor, c_max: float = 1.0):
+        data = grid.data
         if data.ndim != 4 or data.shape[3] != 3 or not (
                 data.shape[0] == data.shape[1] == data.shape[2]):
             raise ShapeError(f"LUT grid must be (M, M, M, 3), got {data.shape}")
         if data.shape[0] < 2:
             raise ShapeError("LUT needs at least 2 bins per channel")
-        if isinstance(grid, Tensor):
-            self.grid = grid
-        else:
-            self.grid = Tensor(data, requires_grad=True)
+        if c_max != 1.0:  # every LUT spans [0, 1]; c_max stays for format 1's header
+            raise ConfigError(f"LUT range c_max {c_max} is not 1.0")
+        self.grid = grid
         self.c_max = float(c_max)
 
     @property

@@ -12,7 +12,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -66,9 +66,7 @@ def ssim(x, y) -> float:
     xa, ya = np.asarray(x, np.float64), np.asarray(y, np.float64)
     if xa.shape != ya.shape:
         raise ShapeError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    if xa.ndim == 2:
-        xa, ya = xa[None], ya[None]
-    elif xa.ndim == 4:
+    if xa.ndim == 4:
         if xa.shape[0] != 1:
             raise ShapeError("ssim expects a single image, not a batch")
         xa, ya = xa[0], ya[0]
@@ -122,5 +120,8 @@ def evaluate_pairs(predictions, references, names=None) -> MetricReport:
         if pred is None or ref is None:
             raise ShapeError("prediction and reference counts differ")
         name = names[len(report.names)] if names else f"img{len(report.names):03d}"
-        report.add(name, psnr(pred, ref), ssim(pred, ref))
+        try:
+            report.add(name, psnr(pred, ref), ssim(pred, ref))
+        except ShapeError as exc:  # a pair that cannot be scored, named
+            raise DataError(f"{name}: {exc}") from exc
     return report

@@ -16,19 +16,23 @@ from .tensor import (Tensor, concat_channels, conv2d, crop2d, gelu,
                      upsample_bilinear2x)
 
 N_STAGES = 3
+KERNEL = 3
+
+
+def conv_plan(width: int) -> list[tuple[str, int, int, int]]:
+    """(conv, input channels, output channels, max-pools before it) per conv."""
+    w = width
+    # decoder stage d concatenates the input of encoder stage (4 - d)
+    return [("enc1", 3, w, 1), ("enc2", w, 2 * w, 2), ("enc3", 2 * w, 4 * w, 3),
+            ("attn", 4 * w, 1, 3), ("dec1", 4 * w + 2 * w, 2 * w, 2),
+            ("dec2", 2 * w + w, w, 1), ("dec3", w + 3, w, 0), ("head", w, 3, 0)]
 
 
 def param_shapes(width: int) -> dict[str, tuple]:
     """Parameter name -> shape of a purifier of this width, in creation order."""
-    w = width
-    # (conv, input channels, output channels); decoder stage d concatenates
-    # the input of encoder stage (4 - d)
-    convs = [("enc1", 3, w), ("enc2", w, 2 * w), ("enc3", 2 * w, 4 * w),
-             ("attn", 4 * w, 1), ("dec1", 4 * w + 2 * w, 2 * w),
-             ("dec2", 2 * w + w, w), ("dec3", w + 3, w), ("head", w, 3)]
     shapes = {}
-    for name, c_in, c_out in convs:
-        shapes[f"{name}.w"], shapes[f"{name}.b"] = (c_out, c_in, 3, 3), (c_out,)
+    for name, c_in, c_out, _ in conv_plan(width):
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = (c_out, c_in, KERNEL, KERNEL), (c_out,)
         if name[:3] in ("enc", "dec"):  # instance-norm affine
             shapes[f"{name}.gain"] = shapes[f"{name}.bias"] = (c_out,)
     shapes["b"] = ()
@@ -69,9 +73,6 @@ class PurifierNet:
     @property
     def b(self) -> Tensor:
         return self.params["b"]
-
-    def param_count(self) -> int:
-        return sum(p.data.size for p in self.params.values())
 
     def state(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.params.items()}

@@ -221,8 +221,6 @@ class Tensor:
         return self._binary(other, "add", operator.add,
                             lambda g, a, b: g, lambda g, a, b: g)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self._binary(other, "sub", operator.sub,
                             lambda g, a, b: g, lambda g, a, b: -g)
@@ -230,8 +228,6 @@ class Tensor:
     def __mul__(self, other):
         return self._binary(other, "mul", operator.mul,
                             lambda g, a, b: g * b, lambda g, a, b: g * a)
-
-    __rmul__ = __mul__
 
     # -- elementwise nonlinearities ------------------------------------------
 
@@ -373,9 +369,9 @@ def _correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out.reshape(b, c_out, h, w)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """2d cross-correlation, stride 1, with a square odd-sided kernel (1x1 or
-    3x3 here) zero-padded by k // 2, so the output keeps the input's size.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """2d cross-correlation plus a per-channel bias, stride 1, with a square
+    odd-sided kernel zero-padded by k // 2, so the output keeps the input's size.
 
     The input gradient is the transposed convolution: the output gradient,
     padded by k // 2 as well, correlated with the flipped, channel-swapped
@@ -395,11 +391,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"conv2d input has an empty spatial axis: {h}x{w}")
 
     out_data = _correlate(x.data, weight.data)
-    if bias is not None:
-        out_data += bias.data.reshape(1, c_out, 1, 1)
+    out_data += bias.data.reshape(1, c_out, 1, 1)
 
-    def _bwd(g, xd=x.data, wd=weight.data, nx=x._node, nw=weight._node,
-             nb=None if bias is None else bias._node):
+    def _bwd(g, xd=x.data, wd=weight.data, nx=x._node, nw=weight._node, nb=bias._node):
         if nw is not None:
             # the same strips as the forward, built again: the graph keeps
             # neither the columns nor a padded copy of the input
@@ -414,8 +408,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if nx is not None:
             nx._accumulate(_correlate(g, wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._result(out_data, parents, "conv2d", _bwd)
+    return Tensor._result(out_data, (x, weight, bias), "conv2d", _bwd)
 
 
 # the positions of a 2x2 pooling window, in row-major (tie-breaking) order

@@ -97,8 +97,6 @@ def process_tiled(data: np.ndarray, fn, plan: TilePlan) -> np.ndarray:
     result is bit-identical to fn on the whole image. Float64 sums are kept
     for one tile row; the rows above the next one are divided out as it starts.
     """
-    if data.ndim == 3:
-        data = data[None]
     h, w = data.shape[2:]
     if h <= plan.tile and w <= plan.tile:
         return fn(data)

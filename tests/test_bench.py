@@ -44,6 +44,14 @@ def test_purifier_macs_accounts_every_conv():
     assert macs["head"] == conv_macs(16, 3, 3, 32, 32)
 
 
+def test_purifier_macs_are_pinned():
+    # per-layer counts at odd sizes, which each max-pool rounds up
+    assert purifier_macs(4, 33, 47) == {
+        "enc1": 44064, "enc2": 31104, "enc3": 34560, "attn": 4320,
+        "dec1": 186624, "dec2": 176256, "dec3": 390852, "head": 167508}
+    assert sum(purifier_macs(16, 512, 512).values()) == 1_918_107_648
+
+
 def test_odd_sizes_round_up_before_pooling():
     macs = purifier_macs(4, 33, 47)
     assert macs["enc1"] == conv_macs(3, 4, 3, 17, 24)

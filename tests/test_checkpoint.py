@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hazeflow.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from hazeflow.errors import ConfigError, DataError
 from hazeflow.flow import FlowConfig, integrate
-from hazeflow.lut import identity_lut
+from hazeflow.lut import Lut3D, identity_lut
 from hazeflow.purifier import PurifierNet
 from hazeflow.tensor import Tensor, no_grad
 from hazeflow.training import AdamW, TrainConfig, make_toy_dataset, train_loop
@@ -83,6 +83,27 @@ def test_lambda_without_lut_is_refused(tmp_path):
     _join(path, header, payload)
     with pytest.raises(DataError, match=r"corrupt checkpoint header \(lambda 0.5 without a LUT\)"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("case", ["nan_weight", "inf_lut_vertex", "lut_c_max_2"])
+def test_save_refuses_what_the_loader_rejects(tmp_path, case):
+    path = tmp_path / "model.hzf"
+    net, lut = PurifierNet(width=2), identity_lut(3)
+    save_checkpoint(str(path), net, lut, FlowConfig())
+    before = path.read_bytes()
+    if case == "lut_c_max_2":  # every LUT spans [0, 1]
+        with pytest.raises(ConfigError, match="c_max 2.0"):
+            save_checkpoint(str(path), net, Lut3D(lut.grid, c_max=2.0), FlowConfig())
+    else:
+        if case == "nan_weight":
+            net.params["head.w"].data.flat[0] = np.nan
+        else:
+            lut.grid.data[0, 0, 0, 0] = np.inf
+        name = "net.head.w" if case == "nan_weight" else "lut.grid"
+        with pytest.raises(DataError, match=f"non-finite value in tensor {name}"):
+            save_checkpoint(str(path), net, lut, FlowConfig())
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left either
 
 
 def test_version_mismatch_rejected(tmp_path):

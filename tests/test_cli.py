@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -164,6 +165,60 @@ class TestDehaze:
         assert err.startswith("data error:") and err.count("\n") == 1
 
 
+def _png_with_ihdr(payload: bytes) -> bytes:
+    # a PNG signature, an IHDR chunk holding payload and an IEND, CRCs valid
+    def chunk(kind, body):
+        return (struct.pack(">I", len(body)) + kind + body
+                + struct.pack(">I", zlib.crc32(kind + body)))
+    return b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", payload) + chunk(b"IEND", b"")
+
+
+# input images each reader check rejects: (file name, bytes, message)
+_MALFORMED_IMAGES = {
+    "ppm_header_not_an_integer": ("in.ppm", b"P6\n2 two\n255\n" + bytes(12),
+                                  "malformed PPM header"),
+    "ppm_sample_above_maxval": ("in.ppm", b"P6\n1 1\n100\n" + bytes([0, 50, 101]),
+                                "PPM sample exceeds maxval 100"),
+    "png_ihdr_length_12": ("in.png", _png_with_ihdr(struct.pack(">IIBBBB", 2, 2, 8, 2, 0, 0)),
+                           "malformed PNG IHDR chunk"),
+    "png_zero_width": ("in.png", _png_with_ihdr(struct.pack(">IIBBBBB", 0, 2, 8, 2, 0, 0, 0)),
+                       "invalid PNG header"),
+    "png_compression_1": ("in.png",
+                          _png_with_ihdr(struct.pack(">IIBBBBB", 2, 2, 8, 2, 1, 0, 0)),
+                          "invalid PNG header"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_IMAGES))
+def test_malformed_input_image_is_data_error(tmp_path, bench_checkpoint, capsys, case):
+    name, data, message = _MALFORMED_IMAGES[case]
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    rc = main(["dehaze", str(bad), str(tmp_path / "out.ppm"),
+               "--checkpoint", str(bench_checkpoint)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"data error: {bad}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["hazy_dir_is_a_file", "pairs_differ_in_shape"])
+def test_unusable_training_pairs_are_data_error(tmp_path, rng, capsys, case):
+    hazy_dir, clean_dir = _pair_dirs(tmp_path, rng, 1, (8, 8))
+    if case == "hazy_dir_is_a_file":
+        hazy_dir = hazy_dir / "0.ppm"
+        message = f"not a directory: {hazy_dir}"
+    else:
+        save_image(rng.uniform(0, 1, (1, 3, 8, 10)), str(clean_dir / "0.ppm"))
+        message = "training images disagree in shape"
+    rc = main(["train", "--hazy-dir", str(hazy_dir), "--clean-dir", str(clean_dir),
+               "--out", str(tmp_path / "x.hzf"), "--epochs", "1", "--width", "2",
+               "--lut-size", "3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"data error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "x.hzf").exists()
+
+
 def _checkpoint_bytes(header: dict) -> bytes:
     blob = json.dumps(header).encode()
     return MAGIC + struct.pack("<I", len(blob)) + blob
@@ -176,6 +231,7 @@ _HEADER = {"format_version": FORMAT_VERSION, "net": {"width": 4},
 
 _CORRUPT_CHECKPOINTS = {
     "short_length_prefix": MAGIC + b"\x07\x00",
+    "header_past_the_end": MAGIC + struct.pack("<I", 64) + b"{}",
     "no_tensors_key": _checkpoint_bytes(
         {k: v for k, v in _HEADER.items() if k != "tensors"}),
     "no_net_key": _checkpoint_bytes(
@@ -203,6 +259,19 @@ def _rewrite_header(path, edit):
     edit(header)
     new = json.dumps(header).encode()
     path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + blob[8 + hlen:])
+
+
+def _poke_first_value(path, tensor, value):
+    # the tensor's first payload value, written past save_checkpoint's checks
+    blob = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    offset = 8 + hlen
+    for entry in json.loads(blob[8:8 + hlen])["tensors"]:
+        if entry["name"] == tensor:
+            break
+        offset += 4 * int(np.prod(entry["shape"]))
+    blob[offset:offset + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(blob))
 
 
 def _drop_lut_grid(header):
@@ -259,18 +328,15 @@ def test_non_finite_checkpoint_value_is_data_error(tmp_path, hazy_ppm, capsys,
                                                    tensor, value):
     # a NaN kernel diverged in the first solver step, and an inf in a LUT
     # vertex no pixel reaches dehazed with exit 0
-    net, lut = PurifierNet(width=2), identity_lut(5)
-    if tensor == "lut":
-        lut.grid.data[0, 0, 0, 0] = value
-    else:
-        net.params[tensor].data.flat[0] = value
     ckpt = tmp_path / "non_finite.hzf"
-    save_checkpoint(str(ckpt), net, lut, FlowConfig(solver="euler", steps=1))
+    save_checkpoint(str(ckpt), PurifierNet(width=2), identity_lut(5),
+                    FlowConfig(solver="euler", steps=1))
+    name = "lut.grid" if tensor == "lut" else f"net.{tensor}"
+    _poke_first_value(ckpt, name, value)
     rc = main(["dehaze", str(hazy_ppm), str(tmp_path / "out.ppm"),
                "--checkpoint", str(ckpt)])
     err = capsys.readouterr().err
     assert rc == 2
-    name = "lut.grid" if tensor == "lut" else f"net.{tensor}"
     assert err == f"data error: {ckpt}: non-finite value in tensor {name}\n"
 
 
@@ -492,6 +558,14 @@ class TestEval:
                 tracemalloc.stop()
             assert rc == 0
         assert peaks[1] - peaks[0] < pair_bytes
+
+    def test_pred_dir_pair_of_different_sizes_is_data_error(self, tmp_path, rng, capsys):
+        pred_dir, clean_dir = _pair_dirs(tmp_path, rng, 1, (32, 32))
+        save_image(rng.uniform(0, 1, (1, 3, 40, 48)), str(pred_dir / "0.ppm"))
+        rc = main(["eval", "--pred-dir", str(pred_dir), "--clean-dir", str(clean_dir)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "data error: 0.ppm: shape mismatch: (1, 3, 40, 48) vs (1, 3, 32, 32)\n"
 
     def test_empty_dirs_is_data_error(self, tmp_path):
         (tmp_path / "a").mkdir()

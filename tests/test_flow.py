@@ -37,7 +37,7 @@ class TestVectorField:
             if name != "b":
                 p.data = np.zeros_like(p.data)
         net.b.data = np.asarray(0.6, dtype=np.float32)
-        lut = Lut3D(np.full((5, 5, 5, 3), 0.2, dtype=np.float32))
+        lut = Lut3D(Tensor(np.full((5, 5, 5, 3), 0.2, dtype=np.float32), requires_grad=True))
         x = Tensor(np.zeros((1, 3, 8, 8), dtype=np.float32))
         out = vector_field(x, net, lut, 0.5)
         np.testing.assert_allclose(out.data, 0.7, atol=1e-6)

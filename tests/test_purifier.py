@@ -5,7 +5,7 @@ import pytest
 
 from hazeflow.errors import ShapeError
 from hazeflow.gradcheck import check_gradients
-from hazeflow.purifier import PurifierNet, cnn_forward, purify
+from hazeflow.purifier import PurifierNet, cnn_forward, param_shapes, purify
 from hazeflow.tensor import Tensor
 
 
@@ -107,7 +107,7 @@ class TestNetStructure:
 
     def test_param_count_default_width_is_stable(self):
         # regression pin for the default width-16 ladder
-        assert PurifierNet(width=16).param_count() == 62309
+        assert sum(np.prod(s, dtype=int) for s in param_shapes(16).values()) == 62309
 
     def test_state_roundtrip(self, rng):
         net = PurifierNet(width=4, seed=5)

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/."""
 
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,31 @@ def test_bench_pairs_measures_an_output_change(tmp_path, monkeypatch):
                                  "s.1": np.ones(2), "t.0": np.zeros(3)})
     assert bench_pairs.max_abs_diff(saved, "s") == 0.5
     assert bench_pairs.max_abs_diff(saved, "t") is None  # shapes differ
+
+
+def test_reach_lists_lines_no_process_ran(tmp_path):
+    # a child process of the traced command runs DivergenceError.__init__
+    child = tmp_path / "child.py"
+    child.write_text("from hazeflow.errors import DivergenceError\n"
+                     "DivergenceError('x', 1)\n")
+    parent = tmp_path / "parent.py"
+    parent.write_text("import subprocess, sys\n"
+                      f"subprocess.run([sys.executable, {str(child)!r}], check=True)\n")
+    errors = (SCRIPTS.parent / "src" / "hazeflow" / "errors.py").read_text().splitlines()
+    line = f"src/hazeflow/errors.py:{errors.index('        self.step = step') + 1}: " \
+        "self.step = step"
+
+    def unreached(script):
+        proc = subprocess.run(
+            [sys.executable, str(SCRIPTS / "reach.py"),
+             f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    importer = tmp_path / "importer.py"
+    importer.write_text("import hazeflow.errors\n")
+    assert line in unreached(importer)
+    followed = unreached(parent)
+    assert line not in followed
+    assert followed[-1].endswith("(1 commands, 2 traced processes)")

@@ -24,18 +24,22 @@ def tensor(rng, shape, lo=-1.0, hi=1.0, requires_grad=True):
                   requires_grad=requires_grad)
 
 
+def zero_bias(c_out):
+    return Tensor(np.zeros(c_out, dtype=np.float32))
+
+
 class TestConv2d:
     def test_1x1_identity(self, rng):
         x = tensor(rng, (2, 3, 5, 7))
         w = Tensor(np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1))
-        out = conv2d(x, w)
+        out = conv2d(x, w, zero_bias(3))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_3x3_ones_kernel_center_sum(self):
         # zero padding: the centre sees all nine ones, a corner four
         x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
         w = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
-        out = conv2d(x, w)
+        out = conv2d(x, w, zero_bias(1))
         assert out.shape == (1, 1, 3, 3)
         assert out.data[0, 0, 1, 1] == pytest.approx(9.0)
         assert out.data[0, 0, 0, 0] == pytest.approx(4.0)
@@ -52,22 +56,22 @@ class TestConv2d:
         x = tensor(rng, (1, 3, 4, 4))
         w = tensor(rng, (2, 4, 3, 3))
         with pytest.raises(ShapeError):
-            conv2d(x, w)
+            conv2d(x, w, zero_bias(2))
 
     def test_non_square_kernel_raises(self, rng):
         # the padding k // 2 keeps the size only for square odd-sided kernels
         for kshape in [(2, 3, 3, 1), (2, 3, 2, 2), (2, 3, 3)]:
             with pytest.raises(ShapeError, match="square odd-sided"):
-                conv2d(tensor(rng, (1, 3, 4, 4)), tensor(rng, kshape))
+                conv2d(tensor(rng, (1, 3, 4, 4)), tensor(rng, kshape), zero_bias(2))
 
     def test_empty_spatial_axis_raises(self, rng):
         with pytest.raises(ShapeError, match="empty"):
-            conv2d(tensor(rng, (1, 3, 0, 4)), tensor(rng, (2, 3, 3, 3)))
+            conv2d(tensor(rng, (1, 3, 0, 4)), tensor(rng, (2, 3, 3, 3)), zero_bias(2))
 
     def test_same_padding_preserves_size(self, rng):
         x = tensor(rng, (1, 3, 11, 13))
         for k in (1, 3, 5):
-            assert conv2d(x, tensor(rng, (5, 3, k, k))).shape == (1, 5, 11, 13)
+            assert conv2d(x, tensor(rng, (5, 3, k, k)), zero_bias(5)).shape == (1, 5, 11, 13)
 
 
 class TestGelu:
@@ -525,7 +529,7 @@ def test_shape_algebra(h, w, c_in, c_out):
     rng = np.random.default_rng(h * 100 + w)
     x = Tensor(rng.uniform(0, 1, (1, c_in, h, w)).astype(np.float32))
     k3 = Tensor(rng.uniform(-1, 1, (c_out, c_in, 3, 3)).astype(np.float32))
-    assert conv2d(x, k3).shape == (1, c_out, h, w)
+    assert conv2d(x, k3, zero_bias(c_out)).shape == (1, c_out, h, w)
     assert maxpool2d(x).shape == (1, c_in, (h + h % 2) // 2, (w + w % 2) // 2)
     assert upsample_bilinear2x(x).shape == (1, c_in, 2 * h, 2 * w)
 
@@ -537,7 +541,7 @@ def test_deterministic_forward_backward():
                    requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, (4, 3, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        out = gelu(conv2d(x, w))
+        out = gelu(conv2d(x, w, zero_bias(4)))
         loss = (maxpool2d(out)).abs().mean()
         loss.backward()
         return loss.data.copy(), x.grad.copy(), w.grad.copy()
@@ -556,7 +560,7 @@ def test_ops_produce_finite_values(seed):
     w = Tensor(rng.uniform(-2, 2, (2, 3, 3, 3)).astype(np.float32))
     g = Tensor(rng.uniform(-2, 2, (2,)).astype(np.float32))
     b = Tensor(rng.uniform(-2, 2, (2,)).astype(np.float32))
-    out = instance_norm(conv2d(x, w), g, b)
+    out = instance_norm(conv2d(x, w, zero_bias(2)), g, b)
     out = upsample_bilinear2x(maxpool2d(gelu(out)))
     assert np.all(np.isfinite(out.data))
 
@@ -663,11 +667,12 @@ def test_conv2d_keeps_no_full_column_matrix():
     # fits, let alone full im2col columns at 9x that
     x = Tensor(np.ones((1, 19, 512, 512), dtype=np.float32))
     w = Tensor(np.ones((16, 19, 3, 3), dtype=np.float32))
+    b = zero_bias(16)
     padded, output = 19 * 514 * 514 * 4, 16 * 512 * 512 * 4
     tracemalloc.start()
     try:
         with no_grad():
-            out = conv2d(x, w)
+            out = conv2d(x, w, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
