@@ -127,7 +127,8 @@ class TestTrilinearApply:
         # interpolant has kinks that central differences straddle
         grid = rng.uniform(0.0, 1.0, (5, 5, 5, 3)).astype(np.float32)
         pos = rng.integers(0, 4, (2, 3, 4, 4)) + rng.uniform(0.05, 0.95, (2, 3, 4, 4))
-        check(Lut3D(Tensor(grid, requires_grad=True)), Tensor((pos / 4).astype(np.float32), requires_grad=True))
+        check(Lut3D(Tensor(grid, requires_grad=True)),
+              Tensor((pos / 4).astype(np.float32), requires_grad=True))
 
     def test_matches_channels_last_reference_bit_for_bit(self, rng):
         # reference: each corner's (B, H, W, 3) values gathered channels
