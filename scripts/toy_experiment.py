@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end toy experiment: synthesize haze, train, evaluate, save.
 
-Generates a small synthetic hazy/clean dataset, fits the purifier + LUT
-through the unrolled flow, reports PSNR/SSIM against the hazy baseline,
-and writes a checkpoint plus a step-by-step trajectory of one example.
+Trains on a small synthetic hazy/clean dataset through `hazeflow train`,
+which writes the checkpoint and loss history into --out-dir, then loads
+that checkpoint, reports PSNR/SSIM against the hazy baseline, and writes
+a step-by-step trajectory of one example.
 """
 
 import argparse
@@ -12,11 +13,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hazeflow import (SOLVERS, FlowConfig, TrainConfig, dehaze,
-                      evaluate_pairs, make_toy_dataset, train_loop)
-from hazeflow.checkpoint import save_checkpoint
+from hazeflow import SOLVERS, dehaze, evaluate_pairs, make_toy_dataset
+from hazeflow.checkpoint import load_checkpoint
+from hazeflow.cli import main as hazeflow_main
 from hazeflow.imgio import save_image
-from hazeflow.training import history_table
 
 
 def parse_args():
@@ -43,27 +43,23 @@ def main():
     base = evaluate_pairs(hazy, clean)
     print(f"hazy baseline: psnr {base.mean_psnr:.2f} dB  ssim {base.mean_ssim:.4f}")
 
-    cfg = TrainConfig(lr=args.lr, epochs=args.epochs, seed=args.seed)
-    flow_cfg = FlowConfig(solver=args.solver, steps=args.steps, lam=args.lam)
-    result = train_loop((hazy, clean), cfg, flow_cfg, width=args.width,
-                        lut_size=args.lut_size)
-    result.restore_best()
+    ckpt_path = os.path.join(args.out_dir, "toy.hzf")
+    status = hazeflow_main([
+        "train", "--out", ckpt_path, "--loss-log", os.path.join(args.out_dir, "loss_history.txt"),
+        "--synth-pairs", str(args.pairs), "--synth-size", str(args.size),
+        "--epochs", str(args.epochs), "--lr", str(args.lr), "--width", str(args.width),
+        "--lut-size", str(args.lut_size), "--solver", args.solver, "--steps", str(args.steps),
+        "--lambda", str(args.lam), "--seed", str(args.seed)])
+    if status:
+        sys.exit(status)
+    ckpt = load_checkpoint(ckpt_path)
 
-    out = evaluate_pairs(dehaze(hazy, result.net, result.lut, flow_cfg), clean)
+    out = evaluate_pairs(dehaze(hazy, ckpt.net, ckpt.lut, ckpt.flow), clean)
     print(f"dehazed:       psnr {out.mean_psnr:.2f} dB  ssim {out.mean_ssim:.4f}")
     print(f"gain:          {out.mean_psnr - base.mean_psnr:+.2f} dB  "
           f"{out.mean_ssim - base.mean_ssim:+.4f}")
 
-    with open(os.path.join(args.out_dir, "loss_history.txt"), "w") as fh:
-        fh.write(history_table(result.history) + "\n")
-
-    ckpt_path = os.path.join(args.out_dir, "toy.hzf")
-    save_checkpoint(ckpt_path, result.net, result.lut, flow_cfg,
-                    optimizer=result.optimizer,
-                    metadata={"seed": args.seed,
-                              "best_val_loss": result.best_val})
-
-    frames = dehaze(hazy[:1], result.net, result.lut, flow_cfg, trajectory=True)
+    frames = dehaze(hazy[:1], ckpt.net, ckpt.lut, ckpt.flow, trajectory=True)
     save_image(hazy[:1], os.path.join(args.out_dir, "step_000.png"))
     for i, frame in enumerate(frames, start=1):
         save_image(frame, os.path.join(args.out_dir, f"step_{i:03d}.png"))

@@ -17,6 +17,7 @@ from .errors import ConfigError
 from .flow import SOLVERS, FlowConfig
 from .lut import Lut3D, fixed_contrast_saturation_lut, identity_lut
 from .metrics import SSIM_WINDOW, evaluate_pairs
+from .purifier import PurifierNet
 from .tiling import dehaze
 from .training import TrainConfig, make_toy_dataset, train_loop
 
@@ -69,8 +70,7 @@ def _run_one(acfg: AblationConfig, pairs: tuple[np.ndarray, np.ndarray], suite: 
                       seed=acfg.seed)
     flow_cfg = FlowConfig(solver=solver, steps=acfg.steps, lam=lam)
     before = None if lut is None else grid_checksum(lut)
-    result = train_loop(pairs, cfg, flow_cfg, lut=lut, width=acfg.width)
-    result.restore_best()
+    result = train_loop(pairs, cfg, flow_cfg, PurifierNet(acfg.width, seed=acfg.seed), lut)
     after = None if result.lut is None else grid_checksum(result.lut)
     report = evaluate_pairs((dehaze(h[None], result.net, result.lut, flow_cfg)
                              for h in hazy), clean[:, None])
@@ -120,7 +120,7 @@ def format_report(results: dict[str, list[AblationRow]]) -> str:
     if "rk4" in solver_rows and "euler" in solver_rows:
         better = solver_rows["rk4"].final_val_l1 <= solver_rows["euler"].final_val_l1
         lines.append(f"note: rk4 {'<=' if better else '>'} euler "
-                     "on final validation L1 (reported, not asserted)")
+                     "on best validation L1 (reported, not asserted)")
     return "\n".join(lines)
 
 

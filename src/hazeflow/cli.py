@@ -80,7 +80,6 @@ def cmd_train(args) -> int:
             else contextlib.nullcontext() as log:
         print(source)
         result = train_loop(pairs, cfg, flow_cfg, net=net, lut=lut)
-        result.restore_best()
         print(history_table(result.history), file=log)
     print(f"best val L1 {result.best_val:.6f} at epoch {result.best_epoch}")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeError
 from .flow import FlowConfig, integrate
-from .lut import Lut3D, identity_lut
+from .lut import Lut3D
 from .purifier import PurifierNet
 from .tensor import Tensor, no_grad
 
@@ -98,7 +98,7 @@ class AdamW:
 
 
 class ReduceLROnPlateau:
-    """Halve the learning rate after `patience` epochs without a new minimum."""
+    """Scale the lr by `factor` after `patience` epochs without a new minimum."""
 
     def __init__(self, lr: float, patience: int = 100, factor: float = 0.5):
         self.lr = float(lr)
@@ -224,14 +224,7 @@ class TrainResult:
     history: list
     best_val: float
     best_epoch: int
-    best_state: dict
     optimizer: AdamW
-
-    def restore_best(self) -> None:
-        for name, arr in self.best_state["net"].items():
-            self.net.params[name].data = arr.copy()
-        if self.lut is not None and self.best_state.get("lut") is not None:
-            self.lut.grid.data = self.best_state["lut"].copy()
 
 
 def history_table(history: Sequence[EpochStats]) -> str:
@@ -252,25 +245,24 @@ def _epoch_loss(hazy, clean, net, lut, flow_cfg, batch_size: int) -> float:
 
 
 def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
-               flow_cfg: FlowConfig, net: Optional[PurifierNet] = None,
-               lut: Optional[Lut3D] = None, width: int = 16,
-               lut_size: int = 33) -> TrainResult:
-    """Fit purifier + LUT on hazy/clean pairs through the unrolled solver.
+               flow_cfg: FlowConfig, net: PurifierNet,
+               lut: Optional[Lut3D]) -> TrainResult:
+    """Fit `net` and `lut` in place on hazy/clean pairs through the unrolled solver.
 
     A parameter trains iff it requires grad, the LUT grid included; a
     frozen one is neither updated nor decayed. The training pairs double
-    as the validation set (desk scale). Runs are deterministic for a fixed
-    seed. Raises DivergenceError when the loss turns non-finite.
+    as the validation set (desk scale). On return `net` and `lut` hold the
+    parameters of the epoch with the lowest validation L1. Runs are
+    deterministic for a fixed seed. Raises ConfigError for a lambda above
+    0 without a LUT, and DivergenceError when the loss turns non-finite.
     """
     hazy, clean = pairs
     if hazy.shape != clean.shape:
         raise ShapeError("hazy/clean arrays must have matching shapes")
     if hazy.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if net is None:
-        net = PurifierNet(width=width, seed=cfg.seed)
     if lut is None and flow_cfg.lam > 0:
-        lut = identity_lut(lut_size)
+        raise ConfigError(f"lambda {flow_cfg.lam} weights a LUT, and no LUT is given")
 
     params = dict(net.parameters(), **({} if lut is None else {"lut.grid": lut.grid}))
     trainable = {name: p for name, p in params.items() if p.requires_grad}
@@ -280,10 +272,8 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
 
     n = hazy.shape[0]
     history: list[EpochStats] = []
-    best_val = float("inf")
     best_epoch = -1
-    best_state = {"net": net.state(),
-                  "lut": None if lut is None else lut.grid.data.copy()}
+    best = {name: p.data.copy() for name, p in trainable.items()}
 
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -303,15 +293,13 @@ def train_loop(pairs: tuple[np.ndarray, np.ndarray], cfg: TrainConfig,
             epoch_loss += float(loss.data) * len(idx)
         train_l1 = epoch_loss / n
         val_l1 = _epoch_loss(hazy, clean, net, lut, flow_cfg, cfg.batch_size)
-        lr_now = sched.step(val_l1)
-        opt.lr = lr_now
-        history.append(EpochStats(epoch, train_l1, val_l1, lr_now))
-        if val_l1 < best_val:
-            best_val = val_l1
+        if val_l1 < sched.best:  # the scheduler keeps the running minimum
             best_epoch = epoch
-            best_state = {"net": net.state(),
-                          "lut": None if lut is None else lut.grid.data.copy()}
+            best = {name: p.data.copy() for name, p in trainable.items()}
+        opt.lr = sched.step(val_l1)
+        history.append(EpochStats(epoch, train_l1, val_l1, opt.lr))
 
-    return TrainResult(net=net, lut=lut, history=history,
-                       best_val=best_val, best_epoch=best_epoch,
-                       best_state=best_state, optimizer=opt)
+    for name, p in trainable.items():
+        p.data = best[name]
+    return TrainResult(net=net, lut=lut, history=history, best_val=sched.best,
+                       best_epoch=best_epoch, optimizer=opt)

@@ -175,8 +175,8 @@ def test_criterion_06_toy_training_improvement():
 
     cfg = TrainConfig(lr=2e-2, batch_size=4, epochs=120, seed=123)
     flow_cfg = FlowConfig(solver="euler", steps=2, lam=0.5)
-    result = train_loop((hazy, clean), cfg, flow_cfg, width=8, lut_size=17)
-    result.restore_best()
+    result = train_loop((hazy, clean), cfg, flow_cfg, PurifierNet(width=8, seed=123),
+                        identity_lut(17))
 
     with no_grad():
         out = integrate(Tensor(hazy), result.net, result.lut,
@@ -302,7 +302,8 @@ def test_criterion_10_checkpoint_persistence(tmp_path, rng):
     hazy, clean = make_toy_dataset(4, 16, seed=31)
     cfg = TrainConfig(lr=1e-3, epochs=3, batch_size=2, seed=31)
     flow_cfg = FlowConfig(solver="rk4", steps=2, lam=0.5)
-    result = train_loop((hazy, clean), cfg, flow_cfg, width=4, lut_size=5)
+    result = train_loop((hazy, clean), cfg, flow_cfg, PurifierNet(width=4, seed=31),
+                        identity_lut(5))
 
     path = tmp_path / "model.hzf"
     save_checkpoint(str(path), result.net, result.lut, flow_cfg,

@@ -23,7 +23,8 @@ def trained(tmp_path):
     hazy, clean = make_toy_dataset(2, 16, seed=21)
     cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=21)
     flow_cfg = FlowConfig(solver="midpoint", steps=3, lam=0.25)
-    result = train_loop((hazy, clean), cfg, flow_cfg, width=4, lut_size=5)
+    result = train_loop((hazy, clean), cfg, flow_cfg, PurifierNet(width=4, seed=21),
+                        identity_lut(5))
     return result, flow_cfg
 
 

@@ -6,21 +6,29 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from hazeflow.checkpoint import load_checkpoint
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_toy_experiment_writes_its_outputs(tmp_path):
+@pytest.mark.parametrize("lam", ["0.5", "0"])
+def test_toy_experiment_writes_its_outputs(tmp_path, lam):
     out_dir = tmp_path / "toy"
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "toy_experiment.py"), "--pairs", "2",
          "--size", "12", "--epochs", "1", "--width", "2", "--lut-size", "3",
-         "--out-dir", str(out_dir)],
+         "--lambda", lam, "--out-dir", str(out_dir)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     expected = {"toy.hzf", "loss_history.txt", "target.png",
                 "step_000.png", "step_001.png", "step_002.png"}  # 2 solver steps
     assert expected <= set(p.name for p in out_dir.iterdir())
+    ckpt = load_checkpoint(str(out_dir / "toy.hzf"))  # written by `hazeflow train`
+    assert {"seed", "epoch", "best_val_loss", "best_epoch"} <= set(ckpt.metadata)
+    if lam == "0":
+        assert ckpt.lut is None
 
 
 def test_bench_pairs_measures_an_output_change(tmp_path, monkeypatch):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hazeflow.errors import DivergenceError, ShapeError
+from hazeflow.errors import ConfigError, DivergenceError, ShapeError
 from hazeflow.flow import FlowConfig, integrate
 from hazeflow.lut import identity_lut
 from hazeflow.purifier import PurifierNet
 from hazeflow.tensor import Tensor
+from hazeflow import training
 from hazeflow.training import (AdamW, ReduceLROnPlateau, TrainConfig,
                                _epoch_loss, history_table, l1_loss,
                                make_toy_dataset, synth_haze, train_loop)
@@ -204,7 +205,7 @@ class TestTrainLoop:
         net = PurifierNet(width=4, seed=3)
         before = net.state()
         result = train_loop((hazy, clean), cfg, flow_cfg, net=net,
-                            lut_size=5)
+                            lut=identity_lut(5))
         for name, arr in before.items():
             np.testing.assert_array_equal(arr, net.params[name].data)
         assert result.history[0].train_l1 == pytest.approx(
@@ -232,8 +233,8 @@ class TestTrainLoop:
         flow_cfg = FlowConfig(solver="euler", steps=1)
         runs = []
         for _ in range(2):
-            result = train_loop((hazy, clean), cfg, flow_cfg, width=4,
-                                lut_size=5)
+            result = train_loop((hazy, clean), cfg, flow_cfg,
+                                PurifierNet(width=4, seed=5), identity_lut(5))
             runs.append([(r.train_l1, r.val_l1, r.lr) for r in result.history])
         assert runs[0] == runs[1]
 
@@ -241,7 +242,8 @@ class TestTrainLoop:
         hazy, clean = make_toy_dataset(8, 16, seed=11)
         cfg = TrainConfig(lr=1e-2, epochs=15, batch_size=4, seed=11)
         flow_cfg = FlowConfig(solver="euler", steps=1)
-        result = train_loop((hazy, clean), cfg, flow_cfg, width=4, lut_size=5)
+        result = train_loop((hazy, clean), cfg, flow_cfg,
+                            PurifierNet(width=4, seed=11), identity_lut(5))
         assert result.history[-1].train_l1 < result.history[0].train_l1
 
     def test_divergence_reports_step(self):
@@ -252,7 +254,7 @@ class TestTrainLoop:
         net.params["head.w"].data[0, 0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError) as info:
-                train_loop((hazy, clean), cfg, flow_cfg, net=net, lut_size=5)
+                train_loop((hazy, clean), cfg, flow_cfg, net=net, lut=identity_lut(5))
         assert info.value.step == 1
 
     def test_frozen_purifier_only_lut_and_b_train(self):
@@ -279,16 +281,48 @@ class TestTrainLoop:
         frozen, trained = kernel.data.copy(), bias.data.copy()
         cfg = TrainConfig(lr=1e-2, weight_decay=1e-2, epochs=2, batch_size=2, seed=9)
         train_loop((hazy, clean), cfg, FlowConfig(solver="euler", steps=1), net=net,
-                   lut_size=5)
+                   lut=identity_lut(5))
         assert np.array_equal(kernel.data, frozen)
         assert not np.array_equal(bias.data, trained)
+
+    def test_returns_the_model_of_the_best_epoch(self, monkeypatch):
+        hazy, clean = make_toy_dataset(2, 16, seed=2)
+        net, lut = PurifierNet(width=4, seed=2), identity_lut(5)
+        losses, seen = iter([0.5, 0.2, 0.4]), []
+
+        def recorded(hazy, clean, net, lut, flow_cfg, batch_size):
+            seen.append((net.state(), lut.grid.data.copy()))
+            return next(losses)
+        monkeypatch.setattr(training, "_epoch_loss", recorded)
+        cfg = TrainConfig(lr=1e-2, epochs=3, batch_size=2, seed=2)
+        result = train_loop((hazy, clean), cfg, FlowConfig(solver="euler", steps=1),
+                            net, lut)
+        assert result.net is net and result.lut is lut
+        state, grid = seen[1]
+        assert not np.array_equal(grid, seen[2][1])  # the last epoch moved on
+        for name, arr in state.items():
+            np.testing.assert_array_equal(net.params[name].data, arr)
+        np.testing.assert_array_equal(lut.grid.data, grid)
+        assert result.best_epoch == 2 and result.best_val == 0.2
+        assert result.history[-1].val_l1 == 0.4
+
+    def test_lambda_without_lut_is_refused_before_any_step(self):
+        hazy, clean = make_toy_dataset(2, 16, seed=2)
+        net = PurifierNet(width=4, seed=2)
+        before = net.state()
+        cfg = TrainConfig(lr=1e-2, epochs=1, batch_size=2, seed=2)
+        with pytest.raises(ConfigError, match="lambda 0.5 weights a LUT"):
+            train_loop((hazy, clean), cfg, FlowConfig(solver="euler", steps=1, lam=0.5),
+                       net, None)
+        for name, arr in before.items():
+            np.testing.assert_array_equal(net.params[name].data, arr)
 
     def test_history_table_layout(self):
         hazy, clean = make_toy_dataset(2, 16, seed=1)
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=1)
         result = train_loop((hazy, clean), cfg,
-                            FlowConfig(solver="euler", steps=1), width=4,
-                            lut_size=5)
+                            FlowConfig(solver="euler", steps=1),
+                            PurifierNet(width=4, seed=1), identity_lut(5))
         table = history_table(result.history)
         lines = table.splitlines()
         assert lines[0].split() == ["epoch", "train_l1", "val_l1", "lr"]
